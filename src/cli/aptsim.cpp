@@ -48,6 +48,7 @@ using namespace apt;
 struct Args {
   std::string command;
   std::map<std::string, std::string> options;
+  bool help = false;  ///< --help / -h anywhere on the line
 
   bool has(const std::string& key) const { return options.count(key) != 0; }
   std::string get(const std::string& key, const std::string& fallback) const {
@@ -56,11 +57,20 @@ struct Args {
   }
 };
 
+bool is_help(const std::string& token) {
+  return token == "--help" || token == "-h";
+}
+
 Args parse_args(int argc, char** argv) {
   Args args;
   if (argc >= 2) args.command = argv[1];
+  args.help = is_help(args.command);
   for (int i = 2; i < argc; ++i) {
     std::string token = argv[i];
+    if (is_help(token)) {
+      args.help = true;
+      continue;
+    }
     if (!util::starts_with(token, "--")) {
       throw std::invalid_argument("expected --option, got '" + token + "'");
     }
@@ -1109,6 +1119,7 @@ void usage() {
       "  aptsim report [--out-dir D] [--alpha A]\n"
       "  aptsim policies\n"
       "  aptsim version | --version\n"
+      "  aptsim [COMMAND] --help | -h\n"
       "\n"
       "global: --log-level debug|info|warn|error|off   (default info)\n"
       "\n"
@@ -1124,6 +1135,10 @@ void usage() {
 int main(int argc, char** argv) {
   try {
     const Args args = parse_args(argc, argv);
+    if (args.help) {
+      usage();
+      return 0;
+    }
     // The CLI defaults to info (the library default is warn) so one-shot
     // notices stay visible; --log-level off silences them for scripts.
     util::Logger::instance().set_level(

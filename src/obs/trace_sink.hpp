@@ -1,4 +1,4 @@
-// Timeline tracing: a TraceSink interface both engines feed, plus a
+// Timeline tracing: a TraceSink interface the engine feeds, plus a
 // ChromeTraceWriter that renders the feed as Chrome trace-event JSON
 // loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.
 //

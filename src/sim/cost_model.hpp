@@ -21,7 +21,7 @@ namespace apt::sim {
 
 /// Payload of the edge out of `src`: the producer's output, data_size
 /// elements at `bytes_per_element` bytes each. The one formula the cost
-/// models, both engines, and the validator's capacity math must share —
+/// models, the engine, and the validator's capacity math must share —
 /// message sizes and transfer estimates would silently desynchronize if
 /// any of them computed it differently.
 inline double edge_payload_bytes(const dag::Dag& dag, dag::NodeId src,

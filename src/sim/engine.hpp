@@ -1,8 +1,12 @@
-// The discrete-event simulation engine.
+// The closed-system entry point of the discrete-event simulation engine.
 //
 // Drives a Policy over a DAG on a System with a CostModel and produces the
-// per-kernel schedule. Deterministic: identical inputs give identical
-// results (events at equal timestamps are processed in ascending node id).
+// per-kernel schedule. The run itself is the stream engine's
+// (stream/stream_engine.hpp) with this DAG as its single instance, admitted
+// at t = 0: Engine only validates the options and densifies the cost model
+// once (reusing a caller-supplied PrecomputedCostModel built for this DAG).
+// Deterministic: identical inputs give identical results (events at equal
+// timestamps are processed in ascending node id).
 //
 // Communication: under the default ideal topology, transfer stalls are the
 // cost model's analytic point-to-point times (uncontended — the paper's
@@ -16,11 +20,6 @@
 // prefetch assumption cannot hold on a contended fabric (data cannot move
 // retroactively), so their plans become estimates — which is the point.
 #pragma once
-
-#include <deque>
-#include <optional>
-#include <queue>
-#include <vector>
 
 #include "dag/graph.hpp"
 #include "sim/cost_model.hpp"
@@ -40,7 +39,7 @@ namespace apt::sim {
 /// reproduces the deterministic timelines bit-for-bit.
 struct EngineOptions {
   /// Service-time noise on realized execution times (policies keep seeing
-  /// nominal costs). The closed engine draws noise instance 0, so a
+  /// nominal costs). A closed run draws noise instance 0, so a
   /// single-instance stream run sees the same multipliers.
   NoiseSpec noise;
   /// Straggler hedging (replica races). Requires an uncontended topology:
@@ -72,8 +71,6 @@ class Engine {
   SimResult run(Policy& policy);
 
  private:
-  class Context;
-
   const dag::Dag& dag_;
   const System& system_;
   const CostModel& cost_;

@@ -8,9 +8,6 @@
 // policies precompute a plan in prepare() and release it step by step.
 #pragma once
 
-#include <algorithm>
-#include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -40,7 +37,6 @@ class SchedulerContext {
   virtual ~SchedulerContext() = default;
 
   virtual TimeMs now() const = 0;
-  virtual const dag::Dag& dag() const = 0;
   virtual const System& system() const = 0;
   virtual const CostModel& cost_model() const = 0;
 
@@ -70,7 +66,9 @@ class SchedulerContext {
   virtual TimeMs queued_work_ms(ProcId proc) const = 0;
 
   /// Mean execution time of the most recent `k` kernels completed on the
-  /// processor (Eq. 2's τ_g^k); 0 when the processor has no history.
+  /// processor (Eq. 2's τ_g^k); 0 when the processor has no history. The
+  /// engine keeps only the latest 1024 completions per processor, so `k`
+  /// beyond that averages over those 1024 (AG's default window is 5).
   virtual TimeMs recent_avg_exec_ms(ProcId proc, std::size_t k) const = 0;
 
   /// Execution time of a ready kernel on a processor (lookup-table query).
@@ -81,54 +79,28 @@ class SchedulerContext {
   virtual TimeMs exec_time_ms(dag::NodeId node, ProcId proc) const = 0;
 
   /// Minimum execution time of `node` over every processor, and the lowest
-  /// processor id attaining it. The default implementations scan
-  /// exec_time_ms over all processors; engines override them with O(1)
-  /// precomputed lookups — the scan is the hottest loop of the MET-family
-  /// policies, which call these for every ready kernel at every event.
-  virtual TimeMs min_exec_time_ms(dag::NodeId node) const {
-    TimeMs best = std::numeric_limits<TimeMs>::infinity();
-    for (ProcId p = 0; p < system().proc_count(); ++p)
-      best = std::min(best, exec_time_ms(node, p));
-    return best;
-  }
-  virtual ProcId min_exec_proc(dag::NodeId node) const {
-    ProcId best = 0;
-    for (ProcId p = 1; p < system().proc_count(); ++p) {
-      if (exec_time_ms(node, p) < exec_time_ms(node, best)) best = p;
-    }
-    return best;
-  }
+  /// processor id attaining it: O(1) precomputed lookups — the scan they
+  /// replace is the hottest loop of the MET-family policies, which call
+  /// these for every ready kernel at every event.
+  virtual TimeMs min_exec_time_ms(dag::NodeId node) const = 0;
+  virtual ProcId min_exec_proc(dag::NodeId node) const = 0;
 
   /// Structured input-transfer estimate if `node` were assigned to `proc`
   /// now (see sim/transfer_estimate.hpp). stall_ms is the worst-case
   /// unloaded stall — max over predecessors of the edge transfer time from
-  /// the predecessor's actual processor, exactly the value the legacy
-  /// scalar contract returned. Under a contended topology the engines
-  /// additionally fill link_queueing_ms / bottleneck_link from the live
-  /// TransferManager backlog (predicted drain of each route link's
+  /// the predecessor's actual processor. Under a contended topology the
+  /// engine additionally fills link_queueing_ms / bottleneck_link from the
+  /// live TransferManager backlog (predicted drain of each route link's
   /// in-flight bytes at current max-min rates), and the run's NoiseSpec
   /// feeds quantile_ms. On an ideal topology only stall_ms is non-trivial.
   virtual TransferEstimate transfer_estimate(dag::NodeId node,
                                              ProcId proc) const = 0;
 
-  /// DEPRECATED scalar form of the estimation contract, kept as a thin
-  /// wrapper for source compatibility: exactly
-  /// transfer_estimate(node, proc).stall_ms. New code (and all in-tree
-  /// policies) should call transfer_estimate() and pick the reading it
-  /// wants — stall_ms (comm-blind), total_ms() (backlog-aware), or
-  /// quantile_ms(q) (tail-aware).
-  virtual TimeMs input_transfer_ms(dag::NodeId node, ProcId proc) const {
-    return transfer_estimate(node, proc).stall_ms;
-  }
-
   /// The run's service-time noise spec (a disabled spec when the run is
   /// noise-free). Quantile-planning policies combine it with
   /// noise_quantile_multiplier to price tail risk; it is the same spec
   /// transfer_estimate() embeds.
-  virtual const NoiseSpec& noise() const {
-    static const NoiseSpec kDisabled;
-    return kDisabled;
-  }
+  virtual const NoiseSpec& noise() const = 0;
 
   /// Commits `node` to the *idle* processor `proc`, starting immediately.
   /// Throws std::logic_error if the processor is not idle or the node is

@@ -37,6 +37,12 @@ class PrecomputedCostModel final : public CostModel {
 
   const CostModel& base() const noexcept { return base_; }
 
+  /// True when the tables were built for this very graph object and the
+  /// system's processor count, so the raw rows below answer its queries.
+  bool built_for(const dag::Dag& dag, const System& system) const noexcept {
+    return &dag == dag_ && system.proc_count() == proc_count_;
+  }
+
   // --- raw-table access for engine hot paths ---------------------------------
   //
   // The virtual queries above re-check the dag pointer and processor range

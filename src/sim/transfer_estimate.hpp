@@ -1,19 +1,17 @@
 // The structured policy↔fabric estimation contract.
 //
-// SchedulerContext::input_transfer_ms answered one question with one
-// number: the unloaded stall if a kernel were assigned somewhere now. That
-// hides everything the fabric actually knows — which link the estimate is
-// pinned to, how much traffic is already queued on it, and how wide the
-// service-time distribution around the point estimate is. TransferEstimate
-// is the replacement contract: the engines fill it from live
+// A single number — the unloaded stall if a kernel were assigned somewhere
+// now — hides everything the fabric actually knows: which link the
+// estimate is pinned to, how much traffic is already queued on it, and how
+// wide the service-time distribution around the point estimate is.
+// TransferEstimate carries all of it: the engine fills it from live
 // net::TransferManager state (predicted drain of each route link's
 // in-flight bytes at the CURRENT max-min rates — not the unloaded
 // bottleneck-bandwidth figure), and policies choose which reading to act
 // on:
 //
-//   stall_ms          the classic unloaded estimate, bit-identical to what
-//                     input_transfer_ms returned — comm-blind policies and
-//                     noise-off goldens see no change
+//   stall_ms          the classic unloaded estimate — what comm-blind
+//                     policies rank with
 //   total_ms()        stall + predicted link queueing: the backlog-aware
 //                     reading AG-net and APT-C rank with
 //   quantile_ms(q)    tail-aware reading: the queueing prediction scaled
@@ -33,10 +31,10 @@ namespace apt::sim {
 /// the worst (max) predecessor edge determines every field, matching the
 /// worst-case semantics of the legacy scalar.
 struct TransferEstimate {
-  /// Unloaded route estimate: max over predecessors of route head latency
-  /// plus bytes over the route's bottleneck bandwidth — exactly the old
-  /// input_transfer_ms value (0 when every input is local or the topology
-  /// is ideal).
+  /// Unloaded estimate: max over predecessors of the edge transfer time
+  /// from the predecessor's processor — on a contended topology the route
+  /// head latency plus bytes over the route's bottleneck bandwidth (0 when
+  /// every input is local).
   TimeMs stall_ms = 0.0;
 
   /// Predicted extra wait from traffic already in flight: max over

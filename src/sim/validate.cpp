@@ -39,7 +39,7 @@ void check_transfers(const std::vector<TransferRecord>& transfers,
   };
   for (std::size_t i = 0; i < transfers.size(); ++i) {
     const TransferRecord& t = transfers[i];
-    const std::string ttag = tag + " transfer " + std::to_string(i);
+    const std::string ttag = tag + "transfer " + std::to_string(i);
     if (t.path.empty()) {
       fail(ttag + ": empty route (local pairs move no message)");
       continue;
@@ -166,6 +166,98 @@ void check_link_capacity(const System& system, std::vector<LinkLoad>& loads,
           " busy ms — exceeds capacity " + std::to_string(capacity)});
   }
 }
+
+/// Occupation interval of one kernel attempt, remembered across instances.
+struct Span {
+  std::size_t app;
+  dag::NodeId node;
+  TimeMs from;
+  TimeMs to;
+};
+
+/// Everything the validators check about one instance on its own: the
+/// per-kernel timeline and precedence (readiness gated on `arrival_ms` +
+/// the node's release offset), its transfer records (bytes pooled into
+/// `loads`) and its hedge records. Every occupation span — cancelled hedge
+/// losers included — joins `by_proc` for the exclusivity sweep. `prefix`
+/// names the instance in messages ("" in a closed run). Returns false,
+/// having checked nothing else, when the schedule does not cover the DAG.
+bool check_instance(const dag::Dag& dag, TimeMs arrival_ms,
+                    const SimResult& result, const System& system,
+                    std::size_t app, const std::string& prefix,
+                    std::vector<std::vector<Span>>& by_proc,
+                    std::vector<LinkLoad>& loads,
+                    std::vector<Violation>& out) {
+  auto fail = [&](std::string msg) {
+    out.push_back(Violation{std::move(msg)});
+  };
+  if (result.schedule.size() != dag.node_count()) {
+    fail(prefix + "schedule size " + std::to_string(result.schedule.size()) +
+         " != node count " + std::to_string(dag.node_count()));
+    return false;
+  }
+  for (dag::NodeId n = 0; n < dag.node_count(); ++n) {
+    const ScheduledKernel& k = result.schedule[n];
+    const std::string tag = prefix + "node " + std::to_string(n);
+    if (k.node != n) fail(tag + ": record/node index mismatch");
+    if (k.proc == kInvalidProc || k.proc >= system.proc_count()) {
+      fail(tag + ": invalid processor");
+      continue;
+    }
+    if (k.ready_time < 0.0 || k.assign_time + kTol < k.ready_time)
+      fail(tag + ": assigned before ready");
+    if (k.ready_time + kTol < arrival_ms + dag.node(n).release_ms)
+      fail(tag + ": ready before its arrival/release instant");
+    if (k.exec_start + kTol < k.assign_time)
+      fail(tag + ": execution before assignment");
+    if (!close(k.finish_time, k.exec_start + k.exec_ms))
+      fail(tag + ": finish != exec_start + exec_ms");
+    for (const dag::NodeId pred : dag.predecessors(n)) {
+      const ScheduledKernel& pk = result.schedule[pred];
+      if (k.exec_start + kTol < pk.finish_time)
+        fail(tag + ": starts before predecessor " + std::to_string(pred) +
+             " finishes");
+      if (k.ready_time + kTol < pk.finish_time)
+        fail(tag + ": marked ready before predecessor " +
+             std::to_string(pred) + " finished");
+    }
+    by_proc[k.proc].push_back(Span{app, n, k.occupied_from(), k.finish_time});
+  }
+  check_transfers(result.transfers, system, prefix,
+                  exec_start_resolver(result), loads, out);
+  check_hedges(result.hedges, result, system, prefix,
+               [&](ProcId proc, TimeMs from, TimeMs to, dag::NodeId node) {
+                 by_proc[proc].push_back(Span{app, node, from, to});
+               },
+               out);
+  return true;
+}
+
+/// Processor exclusivity: the occupation intervals [occupied_from, finish)
+/// of attempts sharing a processor never overlap, whichever instance they
+/// belong to. `name_apps` adds the instance to each message.
+void check_exclusivity(const System& system,
+                       std::vector<std::vector<Span>>& by_proc, bool name_apps,
+                       std::vector<Violation>& out) {
+  auto name = [&](const Span& s) {
+    return (name_apps ? "app " + std::to_string(s.app) + " " : "") +
+           "kernel " + std::to_string(s.node);
+  };
+  for (ProcId p = 0; p < system.proc_count(); ++p) {
+    std::vector<Span>& spans = by_proc[p];
+    std::sort(spans.begin(), spans.end(), [](const Span& a, const Span& b) {
+      if (a.from != b.from) return a.from < b.from;
+      if (a.app != b.app) return a.app < b.app;
+      return a.node < b.node;
+    });
+    for (std::size_t i = 1; i < spans.size(); ++i) {
+      if (spans[i].from + kTol < spans[i - 1].to)
+        out.push_back(Violation{"processor " + system.processor(p).name +
+                                ": " + name(spans[i - 1]) + " overlaps " +
+                                name(spans[i])});
+    }
+  }
+}
 }  // namespace
 
 std::vector<Violation> validate_schedule(const dag::Dag& dag,
@@ -174,30 +266,21 @@ std::vector<Violation> validate_schedule(const dag::Dag& dag,
                                          const SimResult& result) {
   std::vector<Violation> out;
   auto fail = [&](std::string msg) { out.push_back(Violation{std::move(msg)}); };
-
-  if (result.schedule.size() != dag.node_count()) {
-    fail("schedule size " + std::to_string(result.schedule.size()) +
-         " != node count " + std::to_string(dag.node_count()));
+  std::vector<std::vector<Span>> by_proc(system.proc_count());
+  std::vector<LinkLoad> loads(system.topology().link_count());
+  if (!check_instance(dag, 0.0, result, system, 0, "", by_proc, loads, out))
     return out;
-  }
+  check_link_capacity(system, loads, out);
+  check_exclusivity(system, by_proc, false, out);
 
+  // Closed-run extras: realized durations against the cost model, and the
+  // makespan.
   TimeMs latest = 0.0;
   for (dag::NodeId n = 0; n < dag.node_count(); ++n) {
     const ScheduledKernel& k = result.schedule[n];
+    latest = std::max(latest, k.finish_time);
+    if (k.proc == kInvalidProc || k.proc >= system.proc_count()) continue;
     const std::string tag = "node " + std::to_string(n);
-    if (k.node != n) fail(tag + ": record/node index mismatch");
-    if (k.proc == kInvalidProc || k.proc >= system.proc_count()) {
-      fail(tag + ": invalid processor");
-      continue;
-    }
-    if (k.ready_time < 0.0 || k.assign_time + kTol < k.ready_time)
-      fail(tag + ": assigned before ready");
-    if (k.ready_time + kTol < dag.node(n).release_ms)
-      fail(tag + ": ready before its release time");
-    if (k.exec_start + kTol < k.assign_time)
-      fail(tag + ": execution before assignment");
-    if (!close(k.finish_time, k.exec_start + k.exec_ms))
-      fail(tag + ": finish != exec_start + exec_ms");
     if (!(k.noise_mult > 0.0))
       fail(tag + ": non-positive noise multiplier");
     // Under service-time noise the realized duration is the cost model's
@@ -208,157 +291,32 @@ std::vector<Violation> validate_schedule(const dag::Dag& dag,
     if (!close(k.exec_ms, expected_exec))
       fail(tag + ": exec_ms " + std::to_string(k.exec_ms) +
            " != cost model × noise_mult " + std::to_string(expected_exec));
-    for (const dag::NodeId pred : dag.predecessors(n)) {
-      const ScheduledKernel& pk = result.schedule[pred];
-      if (k.exec_start + kTol < pk.finish_time)
-        fail(tag + ": starts before predecessor " + std::to_string(pred) +
-             " finishes");
-      if (k.ready_time + kTol < pk.finish_time)
-        fail(tag + ": marked ready before predecessor " +
-             std::to_string(pred) + " finished");
-    }
-    latest = std::max(latest, k.finish_time);
   }
-
-  // Processor exclusivity: the occupation intervals
-  // [occupied_from, finish) of kernels sharing a processor never overlap —
-  // with the cancelled losing attempts of hedged kernels pooled in (they
-  // held their processor until the cancellation instant).
-  struct ProcSpan {
-    dag::NodeId node;
-    TimeMs from;
-    TimeMs to;
-  };
-  std::vector<std::vector<ProcSpan>> by_proc(system.proc_count());
-  for (const ScheduledKernel& k : result.schedule) {
-    if (k.proc != kInvalidProc && k.proc < system.proc_count())
-      by_proc[k.proc].push_back(ProcSpan{k.node, k.occupied_from(),
-                                         k.finish_time});
-  }
-  check_hedges(result.hedges, result, system, "",
-               [&](ProcId proc, TimeMs from, TimeMs to, dag::NodeId node) {
-                 by_proc[proc].push_back(ProcSpan{node, from, to});
-               },
-               out);
-  for (ProcId p = 0; p < system.proc_count(); ++p) {
-    std::vector<ProcSpan>& spans = by_proc[p];
-    std::sort(spans.begin(), spans.end(),
-              [](const ProcSpan& a, const ProcSpan& b) {
-                if (a.from != b.from) return a.from < b.from;
-                return a.node < b.node;
-              });
-    for (std::size_t i = 1; i < spans.size(); ++i) {
-      if (spans[i].from + kTol < spans[i - 1].to)
-        fail("processor " + system.processor(p).name + ": kernels " +
-             std::to_string(spans[i - 1].node) + " and " +
-             std::to_string(spans[i].node) + " overlap");
-    }
-  }
-
   if (!dag.empty() && !close(result.makespan, latest))
     fail("makespan " + std::to_string(result.makespan) +
          " != latest finish " + std::to_string(latest));
-
-  // Interconnect invariants (contended topologies record link messages).
-  if (!result.transfers.empty()) {
-    std::vector<LinkLoad> loads(system.topology().link_count());
-    check_transfers(result.transfers, system, "",
-                    exec_start_resolver(result), loads, out);
-    check_link_capacity(system, loads, out);
-  }
   return out;
 }
 
 std::vector<Violation> validate_stream_schedule(
     const System& system, const std::vector<StreamAppView>& apps) {
   std::vector<Violation> out;
-  auto fail = [&](std::string msg) { out.push_back(Violation{std::move(msg)}); };
-
-  /// Occupation interval of one kernel, remembered across applications.
-  struct Span {
-    std::size_t app;
-    dag::NodeId node;
-    TimeMs from;
-    TimeMs to;
-  };
   std::vector<std::vector<Span>> by_proc(system.proc_count());
-  std::vector<LinkLoad> link_loads(system.topology().link_count());
-
+  // Link loads and processor spans pool ACROSS apps: the links and the
+  // processors are shared by every instance.
+  std::vector<LinkLoad> loads(system.topology().link_count());
   for (std::size_t a = 0; a < apps.size(); ++a) {
     const StreamAppView& view = apps[a];
-    const std::string app_tag = "app " + std::to_string(a);
+    const std::string prefix = "app " + std::to_string(a) + " ";
     if (view.dag == nullptr || view.result == nullptr) {
-      fail(app_tag + ": null dag/result");
+      out.push_back(Violation{prefix + "null dag/result"});
       continue;
     }
-    const dag::Dag& dag = *view.dag;
-    const SimResult& result = *view.result;
-    if (result.schedule.size() != dag.node_count()) {
-      fail(app_tag + ": schedule size " +
-           std::to_string(result.schedule.size()) + " != node count " +
-           std::to_string(dag.node_count()));
-      continue;
-    }
-    for (dag::NodeId n = 0; n < dag.node_count(); ++n) {
-      const ScheduledKernel& k = result.schedule[n];
-      const std::string tag = app_tag + " node " + std::to_string(n);
-      if (k.node != n) fail(tag + ": record/node index mismatch");
-      if (k.proc == kInvalidProc || k.proc >= system.proc_count()) {
-        fail(tag + ": invalid processor");
-        continue;
-      }
-      const TimeMs release = view.arrival_ms + dag.node(n).release_ms;
-      if (k.ready_time + kTol < release)
-        fail(tag + ": ready before its arrival/release instant");
-      if (k.assign_time + kTol < k.ready_time)
-        fail(tag + ": assigned before ready");
-      if (k.exec_start + kTol < k.assign_time)
-        fail(tag + ": execution before assignment");
-      if (!close(k.finish_time, k.exec_start + k.exec_ms))
-        fail(tag + ": finish != exec_start + exec_ms");
-      for (const dag::NodeId pred : dag.predecessors(n)) {
-        const ScheduledKernel& pk = result.schedule[pred];
-        if (k.exec_start + kTol < pk.finish_time)
-          fail(tag + ": starts before predecessor " + std::to_string(pred) +
-               " finishes");
-        if (k.ready_time + kTol < pk.finish_time)
-          fail(tag + ": marked ready before predecessor " +
-               std::to_string(pred) + " finished");
-      }
-      by_proc[k.proc].push_back(Span{a, n, k.occupied_from(), k.finish_time});
-    }
-    // Per-app transfer sanity; loads pool ACROSS apps (the links are as
-    // shared as the processors).
-    check_transfers(result.transfers, system, app_tag,
-                    exec_start_resolver(result), link_loads, out);
-    // Per-app hedge-record coherence; the losing attempts' occupation
-    // spans join the cross-instance exclusivity pool below.
-    check_hedges(result.hedges, result, system, app_tag + " ",
-                 [&](ProcId proc, TimeMs from, TimeMs to, dag::NodeId node) {
-                   by_proc[proc].push_back(Span{a, node, from, to});
-                 },
-                 out);
+    check_instance(*view.dag, view.arrival_ms, *view.result, system, a,
+                   prefix, by_proc, loads, out);
   }
-  check_link_capacity(system, link_loads, out);
-
-  // Cross-instance exclusivity: kernels of *different* applications share
-  // the processors, so the overlap check must pool every span.
-  for (ProcId p = 0; p < system.proc_count(); ++p) {
-    std::vector<Span>& spans = by_proc[p];
-    std::sort(spans.begin(), spans.end(), [](const Span& a, const Span& b) {
-      if (a.from != b.from) return a.from < b.from;
-      if (a.app != b.app) return a.app < b.app;
-      return a.node < b.node;
-    });
-    for (std::size_t i = 1; i < spans.size(); ++i) {
-      if (spans[i].from + kTol < spans[i - 1].to)
-        fail("processor " + system.processor(p).name + ": app " +
-             std::to_string(spans[i - 1].app) + " kernel " +
-             std::to_string(spans[i - 1].node) + " overlaps app " +
-             std::to_string(spans[i].app) + " kernel " +
-             std::to_string(spans[i].node));
-    }
-  }
+  check_link_capacity(system, loads, out);
+  check_exclusivity(system, by_proc, true, out);
   return out;
 }
 

@@ -13,6 +13,7 @@
 #include "net/transfer_manager.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace_sink.hpp"
+#include "sim/engine.hpp"
 #include "sim/precomputed_cost_model.hpp"
 #include "sim/validate.hpp"
 #include "util/contracts.hpp"
@@ -74,19 +75,27 @@ struct Event {
 using EventQueue =
     std::priority_queue<Event, std::vector<Event>, std::greater<Event>>;
 
-}  // namespace
-
-/// All mutable state of one stream run; implements the SchedulerContext the
-/// policy schedules against. Per-node arrays are indexed by global slot id;
-/// a retired instance's slot range returns to the free-range allocator.
-class StreamEngine::Context final : public sim::SchedulerContext {
+/// All mutable state of one run; the only SchedulerContext implementation,
+/// shared by both entry points. Per-node arrays are indexed by global slot
+/// id; a retired instance's slot range returns to the free-range allocator.
+///
+/// A stream run (StreamEngine::run) admits instances from a DagSource as
+/// they arrive. A closed run (sim::Engine::run, `source` null) admits the
+/// caller's DAG as the single instance 0 at t = 0, borrowing its graph and
+/// dense cost tables, and differs only where sim::Engine's contract needs
+/// it: transfer records are always kept, no arrival/retirement is traced or
+/// counted, and no stream observation is collected.
+class Context final : public sim::SchedulerContext {
  public:
   Context(const sim::System& system, const sim::CostModel& base_cost,
-          const DagSource& source, const StreamOptions& options,
+          const DagSource* source, const StreamOptions& options,
           sim::Policy& policy)
       : system_(system),
         base_cost_(base_cost),
         source_(source),
+        closed_(source == nullptr),
+        keep_transfers_(closed_ || options.record_schedules ||
+                        options.sink != nullptr),
         options_(options),
         policy_(policy),
         topology_(system.topology()),
@@ -113,27 +122,13 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     idle_cache_.reserve(system.proc_count());
   }
 
-  StreamOutcome simulate() {
+  /// Stream entry: admits instances as they arrive until all retire.
+  StreamOutcome simulate_stream() {
     ArrivalProcess arrivals(options_.arrivals);
-    pull_next_arrival(arrivals);
-    process_arrivals(arrivals);  // a trace may start at t = 0
-    for (;;) {
-      {
-        obs::ScopedTimer timer(profile_, obs::Timer::kPolicyPass);
-        policy_.on_event(*this);
-      }
-      if (profile_) profile_->add(obs::Counter::kPolicyPasses);
-      drain_queues();
-      const bool quiescent = events_.empty() && releases_.empty() &&
-                             !next_arrival_ && !(tm_ && tm_->busy());
-      if (live_count_ == 0 && quiescent) break;
-      if (quiescent) {
-        throw std::logic_error("StreamEngine: policy '" + policy_.name() +
-                               "' stalled: work remains but nothing is "
-                               "executing and no arrival is pending");
-      }
-      advance_to_next_event(arrivals);
-    }
+    arrivals_ = &arrivals;
+    pull_next_arrival();
+    process_arrivals();  // a trace may start at t = 0
+    event_loop();
     observation_.end_ms = std::max(now_, options_.warmup_ms);
     observation_.queue_depth.finish(observation_.end_ms);
     observation_.live_apps.finish(observation_.end_ms);
@@ -154,15 +149,20 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     return outcome;
   }
 
+  /// Closed entry: `dag` is instance 0, admitted at t = 0 with the caller's
+  /// graph and dense tables as its (unpooled) shape.
+  sim::SimResult simulate_closed(const dag::Dag& dag,
+                                 const sim::PrecomputedCostModel& dense) {
+    auto shape = std::make_shared<ShapeEntry>(dag, dense);
+    bake_tables(*shape);
+    place(0, 0.0, std::move(shape));
+    event_loop();
+    return std::move(closed_result_);
+  }
+
   // --- SchedulerContext -----------------------------------------------------
 
   sim::TimeMs now() const override { return now_; }
-
-  const dag::Dag& dag() const override {
-    throw std::logic_error(
-        "StreamEngine: SchedulerContext::dag() is unavailable in stream "
-        "contexts (the ready set spans many DAG instances)");
-  }
 
   const sim::System& system() const override { return system_; }
   const sim::CostModel& cost_model() const override {
@@ -252,46 +252,13 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     return min_proc_slab_[slot];
   }
 
-  sim::TimeMs input_transfer_ms(dag::NodeId slot,
-                                sim::ProcId proc) const override {
-    const App& app = app_of(slot);
-    const ShapeEntry& shape = *app.shape;
-    const dag::NodeId local = slot - app.base;
-    sim::TimeMs worst = 0.0;
-    if (contended_) {
-      for (const dag::NodeId pred : shape.dag.predecessors(local)) {
-        const sim::ScheduledKernel& rec = node_state_[app.base + pred].record;
-        // Internal invariant (not policy-misuse validation): ready slots
-        // only surface once every predecessor was scheduled.
-        APT_ASSERT(rec.proc != sim::kInvalidProc,
-                   "predecessor %u of slot %u not yet scheduled", pred, slot);
-        // Comm-adjusted estimate from the topology (uncontended share).
-        worst = std::max(worst, topology_.transfer_time_ms(
-                                    edge_bytes(app, pred), rec.proc, proc));
-      }
-      return worst;
-    }
-    // Ideal topology: the shape's predecessor CSR points straight at the
-    // cost model's transfer rows (same doubles, no successor scan).
-    for (std::size_t i = shape.pred_offset[local];
-         i < shape.pred_offset[local + 1]; ++i) {
-      const ShapeEntry::PredEdge& e = shape.pred_edges[i];
-      const sim::ScheduledKernel& rec = node_state_[app.base + e.pred].record;
-      APT_ASSERT(rec.proc != sim::kInvalidProc,
-                 "predecessor %u of slot %u not yet scheduled", e.pred, slot);
-      worst = std::max(worst, e.row[rec.proc * proc_count_ + proc]);
-    }
-    return worst;
-  }
-
   sim::TransferEstimate transfer_estimate(dag::NodeId slot,
                                           sim::ProcId proc) const override {
     sim::TransferEstimate est;
     est.noise = options_.noise;
     if (!contended_) {
-      // Ideal topology: only the unloaded stall is non-trivial, and the
-      // ideal fast path above is the bit-identical source for it.
-      est.stall_ms = input_transfer_ms(slot, proc);
+      // Ideal topology: only the unloaded stall is non-trivial.
+      est.stall_ms = stall_ms(slot, proc);
       return est;
     }
     const App& app = app_of(slot);
@@ -302,8 +269,8 @@ class StreamEngine::Context final : public sim::SchedulerContext {
       const sim::ScheduledKernel& rec = node_state_[app.base + pred].record;
       APT_ASSERT(rec.proc != sim::kInvalidProc,
                  "predecessor %u of slot %u not yet scheduled", pred, slot);
-      // Same call, same order, same std::max as input_transfer_ms above —
-      // stall_ms stays bit-identical to the legacy scalar.
+      // Same call and order as stall_ms() below, so est.stall_ms equals
+      // it bit for bit.
       const sim::TimeMs edge =
           topology_.transfer_time_ms(edge_bytes(app, pred), rec.proc, proc);
       if (edge > est.stall_ms) {
@@ -334,7 +301,7 @@ class StreamEngine::Context final : public sim::SchedulerContext {
 
   void assign(dag::NodeId slot, sim::ProcId proc, bool alternative) override {
     if (!is_idle(proc))
-      throw std::logic_error("StreamEngine::assign: processor " +
+      throw std::logic_error("SchedulerContext::assign: processor " +
                              system_.processor(proc).name + " is not idle");
     take_from_ready(slot);
     note_decision(slot, proc, "assign");
@@ -359,6 +326,40 @@ class StreamEngine::Context final : public sim::SchedulerContext {
   }
 
  private:
+  /// Worst-case unloaded input stall of `slot` on `proc`: the max over
+  /// predecessors of the edge transfer time from the predecessor's actual
+  /// processor (TransferEstimate::stall_ms).
+  sim::TimeMs stall_ms(dag::NodeId slot, sim::ProcId proc) const {
+    const App& app = app_of(slot);
+    const ShapeEntry& shape = *app.shape;
+    const dag::NodeId local = slot - app.base;
+    sim::TimeMs worst = 0.0;
+    if (contended_) {
+      for (const dag::NodeId pred : shape.dag.predecessors(local)) {
+        const sim::ScheduledKernel& rec = node_state_[app.base + pred].record;
+        // Internal invariant (not policy-misuse validation): ready slots
+        // only surface once every predecessor was scheduled.
+        APT_ASSERT(rec.proc != sim::kInvalidProc,
+                   "predecessor %u of slot %u not yet scheduled", pred, slot);
+        // Comm-adjusted estimate from the topology (uncontended share).
+        worst = std::max(worst, topology_.transfer_time_ms(
+                                    edge_bytes(app, pred), rec.proc, proc));
+      }
+      return worst;
+    }
+    // Ideal topology: the shape's predecessor CSR points straight at the
+    // cost model's transfer rows (same doubles, no successor scan).
+    for (std::size_t i = shape.pred_offset[local];
+         i < shape.pred_offset[local + 1]; ++i) {
+      const ShapeEntry::PredEdge& e = shape.pred_edges[i];
+      const sim::ScheduledKernel& rec = node_state_[app.base + e.pred].record;
+      APT_ASSERT(rec.proc != sim::kInvalidProc,
+                 "predecessor %u of slot %u not yet scheduled", e.pred, slot);
+      worst = std::max(worst, e.row[rec.proc * proc_count_ + proc]);
+    }
+    return worst;
+  }
+
   static constexpr std::size_t kNoPos = static_cast<std::size_t>(-1);
   static constexpr std::uint32_t kNoApp = static_cast<std::uint32_t>(-1);
   /// Bounded per-processor execution history (memory over long runs).
@@ -409,13 +410,23 @@ class StreamEngine::Context final : public sim::SchedulerContext {
   /// structurally identical: the canonical graph, its densified cost
   /// tables, the makespan lower bound, per-node minimum-execution tables,
   /// and a predecessor CSR whose entries point straight at the cost
-  /// model's transfer rows. Heap-pinned behind a shared_ptr — the cost
-  /// model holds a pointer to `dag`, so entries never move; they die when
-  /// the last referencing instance retires and the pool has let go.
+  /// model's transfer rows. Pooled entries own the graph and tables
+  /// (`storage`) and are heap-pinned behind a shared_ptr — the cost model
+  /// holds a pointer to the graph, so entries never move; they die when the
+  /// last referencing instance retires and the pool has let go. A closed
+  /// run's entry borrows the caller's graph and tables instead.
   struct ShapeEntry {
-    dag::Dag dag;
-    sim::PrecomputedCostModel cost;  ///< references `dag` above
-    sim::TimeMs lower_bound_ms = 0.0;
+    struct Storage {
+      dag::Dag dag;
+      sim::PrecomputedCostModel cost;  ///< references `dag` above
+      Storage(dag::Dag d, const sim::System& system,
+              const sim::CostModel& base)
+          : dag(std::move(d)), cost(dag, system, base) {}
+    };
+    std::unique_ptr<const Storage> storage;  ///< null when borrowed
+    const dag::Dag& dag;
+    const sim::PrecomputedCostModel& cost;
+    sim::TimeMs lower_bound_ms = 0.0;  ///< pooled (stream) entries only
     std::vector<sim::TimeMs> min_exec;  ///< [local] min over processors
     std::vector<sim::ProcId> min_proc;  ///< [local] lowest argmin
     struct PredEdge {
@@ -425,10 +436,45 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     std::vector<std::size_t> pred_offset;  ///< [local + 1], CSR bounds
     std::vector<PredEdge> pred_edges;      ///< in predecessors() order
 
-    ShapeEntry(dag::Dag d, const sim::System& system,
-               const sim::CostModel& base)
-        : dag(std::move(d)), cost(dag, system, base) {}
+    explicit ShapeEntry(std::unique_ptr<const Storage> owned)
+        : storage(std::move(owned)), dag(storage->dag), cost(storage->cost) {}
+    ShapeEntry(const dag::Dag& borrowed_dag,
+               const sim::PrecomputedCostModel& borrowed_cost)
+        : dag(borrowed_dag), cost(borrowed_cost) {}
   };
+
+  /// Fills the entry's per-node minimum-execution tables and predecessor
+  /// CSR from its dense cost tables.
+  void bake_tables(ShapeEntry& entry) const {
+    const std::size_t n = entry.dag.node_count();
+    entry.min_exec.resize(n);
+    entry.min_proc.resize(n);
+    for (dag::NodeId local = 0; local < n; ++local) {
+      const sim::TimeMs* row = entry.cost.exec_row(local);
+      sim::TimeMs best = row[0];
+      sim::ProcId best_proc = 0;
+      for (sim::ProcId p = 1; p < proc_count_; ++p) {
+        if (row[p] < best) {
+          best = row[p];
+          best_proc = p;
+        }
+      }
+      entry.min_exec[local] = best;
+      entry.min_proc[local] = best_proc;
+    }
+    entry.pred_offset.assign(n + 1, 0);
+    entry.pred_edges.reserve(entry.dag.edge_count());
+    for (dag::NodeId local = 0; local < n; ++local) {
+      for (const dag::NodeId pred : entry.dag.predecessors(local)) {
+        const auto& succs = entry.dag.successors(pred);
+        std::size_t k = 0;
+        while (succs[k] != local) ++k;
+        entry.pred_edges.push_back(
+            ShapeEntry::PredEdge{pred, entry.cost.transfer_row(pred, k)});
+      }
+      entry.pred_offset[local + 1] = entry.pred_edges.size();
+    }
+  }
 
   /// Returns the pooled entry for this exact graph, building (and pooling)
   /// it on first sight. The structure hash is the lookup key; an exact
@@ -448,38 +494,12 @@ class StreamEngine::Context final : public sim::SchedulerContext {
       shape_pool_.clear();
       shape_pool_size_ = 0;
     }
-    auto entry =
-        std::make_shared<ShapeEntry>(std::move(dag), system_, base_cost_);
+    auto entry = std::make_shared<ShapeEntry>(
+        std::make_unique<const ShapeEntry::Storage>(std::move(dag), system_,
+                                                    base_cost_));
     entry->lower_bound_ms =
         sim::makespan_lower_bound_ms(entry->dag, system_, entry->cost);
-    const std::size_t n = entry->dag.node_count();
-    entry->min_exec.resize(n);
-    entry->min_proc.resize(n);
-    for (dag::NodeId local = 0; local < n; ++local) {
-      const sim::TimeMs* row = entry->cost.exec_row(local);
-      sim::TimeMs best = row[0];
-      sim::ProcId best_proc = 0;
-      for (sim::ProcId p = 1; p < proc_count_; ++p) {
-        if (row[p] < best) {
-          best = row[p];
-          best_proc = p;
-        }
-      }
-      entry->min_exec[local] = best;
-      entry->min_proc[local] = best_proc;
-    }
-    entry->pred_offset.assign(n + 1, 0);
-    entry->pred_edges.reserve(entry->dag.edge_count());
-    for (dag::NodeId local = 0; local < n; ++local) {
-      for (const dag::NodeId pred : entry->dag.predecessors(local)) {
-        const auto& succs = entry->dag.successors(pred);
-        std::size_t k = 0;
-        while (succs[k] != local) ++k;
-        entry->pred_edges.push_back(
-            ShapeEntry::PredEdge{pred, entry->cost.transfer_row(pred, k)});
-      }
-      entry->pred_offset[local + 1] = entry->pred_edges.size();
-    }
+    bake_tables(*entry);
     shape_pool_[hash].push_back(entry);
     ++shape_pool_size_;
     return entry;
@@ -495,8 +515,8 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     std::size_t remaining = 0;             ///< kernels not yet completed
     std::size_t remaining_total = 0;       ///< kernel count
     /// Completed/in-flight link messages, local node ids, absolute times.
-    /// Only populated when StreamOptions::record_schedules (memory stays
-    /// bounded by the live backlog otherwise).
+    /// Only populated under keep_transfers_ (memory stays bounded by the
+    /// live backlog otherwise).
     std::vector<sim::TransferRecord> transfers;
     /// Hedging episodes of this instance (local node ids), launch order.
     /// Always populated while live — the aggregate counters fold out of
@@ -507,7 +527,9 @@ class StreamEngine::Context final : public sim::SchedulerContext {
   const App& app_of(dag::NodeId slot) const {
     const std::uint32_t a = node_state_.at(slot).app;
     if (a == kNoApp)
-      throw std::logic_error("StreamEngine: slot has no live application");
+      throw std::logic_error("SchedulerContext: kernel " +
+                             std::to_string(slot) +
+                             " belongs to no live instance");
     return apps_[a];
   }
 
@@ -555,7 +577,7 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     }
   }
 
-  // --- ready-set bookkeeping (sim::Engine's tombstone scheme) ---------------
+  // --- ready-set bookkeeping ------------------------------------------------
 
   void mark_ready(dag::NodeId slot) {
     if (profile_) profile_->add(obs::Counter::kReadyMarked);
@@ -565,22 +587,26 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     ready_pos_[slot] = ready_.size();
     ready_.push_back(slot);
     ++ready_count_;
-    observation_.queue_depth.observe(now_, ready_count_);
+    if (!closed_) observation_.queue_depth.observe(now_, ready_count_);
   }
 
   void take_from_ready(dag::NodeId slot) {
     NodeState& ns = node_state_.at(slot);
     if (!ns.ready || ns.assigned)
-      throw std::logic_error("StreamEngine: slot " + std::to_string(slot) +
+      throw std::logic_error("SchedulerContext: kernel " +
+                             std::to_string(slot) +
                              " is not in the ready set");
     ns.assigned = true;
+    // O(1): tombstone the entry; ready() compacts before the next read, so
+    // FIFO order of the survivors is preserved.
     ready_[ready_pos_[slot]] = dag::kInvalidNode;
     ready_pos_[slot] = kNoPos;
     ++ready_tombstones_;
     --ready_count_;
-    observation_.queue_depth.observe(now_, ready_count_);
+    if (!closed_) observation_.queue_depth.observe(now_, ready_count_);
   }
 
+  /// Removes tombstones in one pass, keeping arrival order.
   void compact_ready() const {
     if (profile_) profile_->add(obs::Counter::kReadyCompactions);
     std::size_t out = 0;
@@ -682,7 +708,7 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     sink_->transfer_span(span);
   }
 
-  // --- kernel lifecycle (mirrors sim::Engine) -------------------------------
+  // --- kernel lifecycle -----------------------------------------------------
 
   /// Payload of the edge out of `pred` (a local node id) in `app`.
   double edge_bytes(const App& app, dag::NodeId pred) const {
@@ -710,8 +736,8 @@ class StreamEngine::Context final : public sim::SchedulerContext {
       // A trace sink needs the full message record at delivery time, so
       // tracing also populates the app's transfer log; retire() still
       // clears it when schedules are not recorded, keeping memory bounded
-      // by the live backlog.
-      if (options_.record_schedules || sink_) {
+      // by the live backlog. A closed run always returns its log.
+      if (keep_transfers_) {
         sim::TransferRecord record;
         record.src = pred;
         record.dst = local;
@@ -747,7 +773,7 @@ class StreamEngine::Context final : public sim::SchedulerContext {
   void on_delivery(const net::Delivery& delivery) {
     const auto it = inflight_.find(delivery.tag);
     if (it == inflight_.end())
-      throw std::logic_error("StreamEngine: delivery for unknown transfer");
+      throw std::logic_error("SchedulerContext: delivery for unknown transfer");
     const InFlight flight = it->second;
     inflight_.erase(it);
     NodeState& ns = node_state_[flight.slot];
@@ -764,9 +790,9 @@ class StreamEngine::Context final : public sim::SchedulerContext {
 
   /// Stamps the realized execution time of `slot` on its processor: the
   /// nominal (SoA-baked) duration times the per-kernel noise multiplier.
-  /// The noise instance is the app's global arrival index and the node id
-  /// is local, so the draw matches sim::Engine's for the same DAG and is
-  /// independent of slot placement, scheduling order, and --jobs.
+  /// The noise instance is the app's global arrival index (0 in a closed
+  /// run) and the node id is local, so the draw is independent of slot
+  /// placement, scheduling order, and --jobs.
   void stamp_exec_time(NodeState& ns, dag::NodeId slot, sim::TimeMs nominal) {
     ns.nominal_exec_ms = nominal;
     if (options_.noise.enabled()) {
@@ -838,7 +864,7 @@ class StreamEngine::Context final : public sim::SchedulerContext {
         begin_exec(queued.slot, std::max(now_, ns.data_ready_at));
       return;
     }
-    const sim::TimeMs transfer = input_transfer_ms(queued.slot, proc);
+    const sim::TimeMs transfer = stall_ms(queued.slot, proc);
     const sim::TimeMs data_ready = ns.enqueued_at + cfg.decision_overhead_ms +
                                    cfg.dispatch_overhead_ms + transfer;
     // queued.exec_ms stayed nominal for the queue-estimate queries; the
@@ -859,7 +885,7 @@ class StreamEngine::Context final : public sim::SchedulerContext {
   sim::TimeMs transfer_delay(dag::NodeId slot, sim::ProcId proc,
                              sim::TimeMs from_time) {
     if (policy_.transfer_semantics() == sim::TransferSemantics::AtAssignment)
-      return input_transfer_ms(slot, proc);
+      return stall_ms(slot, proc);
     const App& app = app_of(slot);
     const dag::Dag& dag = app.shape->dag;
     const dag::NodeId local = slot - app.base;
@@ -942,7 +968,7 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     const sim::TimeMs dispatched =
         t + cfg.decision_overhead_ms + cfg.dispatch_overhead_ms;
     ns.replica_proc = proc;
-    ns.replica_transfer_ms = input_transfer_ms(slot, proc);
+    ns.replica_transfer_ms = stall_ms(slot, proc);
     ns.replica_exec_start = dispatched + ns.replica_transfer_ms;
     ns.replica_mult = options_.noise.enabled()
                           ? sim::noise_multiplier(options_.noise, app.index,
@@ -980,6 +1006,7 @@ class StreamEngine::Context final : public sim::SchedulerContext {
   /// waste.
   void account_loser(sim::ProcId proc, sim::TimeMs occupied_from,
                      sim::TimeMs compute_from, sim::TimeMs cancelled) {
+    if (closed_) return;
     const sim::TimeMs busy_from =
         std::max(compute_from, options_.warmup_ms);
     if (cancelled > busy_from)
@@ -1053,7 +1080,30 @@ class StreamEngine::Context final : public sim::SchedulerContext {
 
   // --- event loop -----------------------------------------------------------
 
-  void advance_to_next_event(ArrivalProcess& arrivals) {
+  /// Policy pass, queue drain, advance — until every admitted instance has
+  /// retired (and, in a stream, nothing is pending). A closed run ends at
+  /// its last completion, leaving dead hedge events unprocessed.
+  void event_loop() {
+    for (;;) {
+      {
+        obs::ScopedTimer timer(profile_, obs::Timer::kPolicyPass);
+        policy_.on_event(*this);
+      }
+      if (profile_) profile_->add(obs::Counter::kPolicyPasses);
+      drain_queues();
+      const bool quiescent = events_.empty() && releases_.empty() &&
+                             !next_arrival_ && !(tm_ && tm_->busy());
+      if (live_count_ == 0 && (closed_ || quiescent)) break;
+      if (quiescent) {
+        throw std::logic_error("policy '" + policy_.name() +
+                               "' stalled: work remains but nothing is "
+                               "executing and no arrival is pending");
+      }
+      advance_to_next_event();
+    }
+  }
+
+  void advance_to_next_event() {
     obs::ScopedTimer timer(profile_, obs::Timer::kEventLoopAdvance);
     sim::TimeMs t = std::numeric_limits<sim::TimeMs>::infinity();
     if (!events_.empty()) t = std::min(t, events_.top().time);
@@ -1092,7 +1142,7 @@ class StreamEngine::Context final : public sim::SchedulerContext {
       releases_.pop();
       if (node_state_[slot].remaining_preds == 0) mark_ready(slot);
     }
-    process_arrivals(arrivals);
+    process_arrivals();
     drain_queues();
   }
 
@@ -1115,14 +1165,16 @@ class StreamEngine::Context final : public sim::SchedulerContext {
 
     // Window-clipped utilization accounting, folded in as kernels finish so
     // nothing per-kernel must be retained.
-    const sim::TimeMs busy_from =
-        std::max(ns.record.exec_start, options_.warmup_ms);
-    if (ns.record.finish_time > busy_from) {
-      observation_.busy_in_window_ms[ns.record.proc] +=
-          ns.record.finish_time - busy_from;
+    if (!closed_) {
+      const sim::TimeMs busy_from =
+          std::max(ns.record.exec_start, options_.warmup_ms);
+      if (ns.record.finish_time > busy_from) {
+        observation_.busy_in_window_ms[ns.record.proc] +=
+            ns.record.finish_time - busy_from;
+      }
+      if (ns.record.finish_time >= options_.warmup_ms)
+        ++observation_.kernels_in_window[ns.record.proc];
     }
-    if (ns.record.finish_time >= options_.warmup_ms)
-      ++observation_.kernels_in_window[ns.record.proc];
 
     for (const dag::NodeId succ : app.shape->dag.successors(slot - app.base)) {
       const dag::NodeId succ_slot = app.base + succ;
@@ -1140,8 +1192,28 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     if (app.remaining == 0) retire(app_slot);
   }
 
+  /// The instance's schedule (local node ids, absolute times); moves its
+  /// transfer and hedge logs out.
+  sim::SimResult take_result(App& app) {
+    sim::SimResult result;
+    result.schedule.resize(app.remaining_total);
+    for (dag::NodeId local = 0; local < app.remaining_total; ++local) {
+      result.schedule[local] = node_state_[app.base + local].record;
+      result.makespan =
+          std::max(result.makespan, result.schedule[local].finish_time);
+    }
+    result.transfers = std::move(app.transfers);
+    result.hedges = std::move(app.hedges);
+    return result;
+  }
+
   void retire(std::uint32_t app_slot) {
     App& app = apps_[app_slot];
+    if (closed_) {
+      closed_result_ = take_result(app);
+      --live_count_;
+      return;
+    }
     if (profile_) profile_->add(obs::Counter::kRetirements);
     if (sink_) emit_lifecycle(obs::InstantKind::kRetirement, app.index, now_);
     observation_.completed.push_back(sim::StreamAppStats{
@@ -1151,16 +1223,7 @@ class StreamEngine::Context final : public sim::SchedulerContext {
       StreamAppSchedule schedule;
       schedule.index = app.index;
       schedule.arrival_ms = app.arrival_ms;
-      schedule.result.schedule.resize(app.shape->dag.node_count());
-      sim::TimeMs last = 0.0;
-      for (dag::NodeId local = 0; local < app.shape->dag.node_count();
-           ++local) {
-        schedule.result.schedule[local] = node_state_[app.base + local].record;
-        last = std::max(last, schedule.result.schedule[local].finish_time);
-      }
-      schedule.result.makespan = last;
-      schedule.result.transfers = std::move(app.transfers);
-      schedule.result.hedges = std::move(app.hedges);
+      schedule.result = take_result(app);
       schedule.dag = app.shape->dag;  // the shape's canonical copy is shared
       schedules_.push_back(std::move(schedule));
     }
@@ -1181,22 +1244,22 @@ class StreamEngine::Context final : public sim::SchedulerContext {
 
   // --- admission ------------------------------------------------------------
 
-  void pull_next_arrival(ArrivalProcess& arrivals) {
+  void pull_next_arrival() {
     if (options_.max_apps != 0 &&
         observation_.apps_arrived >= options_.max_apps) {
       next_arrival_ = std::nullopt;
       return;
     }
-    next_arrival_ = arrivals.next();
+    next_arrival_ = arrivals_->next();
     if (next_arrival_ && options_.horizon_ms > 0.0 &&
         *next_arrival_ > options_.horizon_ms)
       next_arrival_ = std::nullopt;
   }
 
-  void process_arrivals(ArrivalProcess& arrivals) {
+  void process_arrivals() {
     while (next_arrival_ && *next_arrival_ <= now_) {
       admit(*next_arrival_);
-      pull_next_arrival(arrivals);
+      pull_next_arrival();
     }
   }
 
@@ -1204,7 +1267,7 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     const std::size_t index = observation_.apps_arrived++;
     if (profile_) profile_->add(obs::Counter::kArrivals);
     if (sink_) emit_lifecycle(obs::InstantKind::kArrival, index, arrival_ms);
-    dag::Dag dag = source_(index);
+    dag::Dag dag = (*source_)(index);
 
     if (dag.empty()) {
       // A zero-kernel application completes the instant it arrives.
@@ -1227,7 +1290,15 @@ class StreamEngine::Context final : public sim::SchedulerContext {
           std::to_string(options_.max_live_apps) +
           " concurrent apps) — the arrival rate exceeds the platform's "
           "capacity");
+    place(index, arrival_ms, acquire_shape(std::move(dag)));
+    observation_.live_apps.observe(now_, live_count_);
+  }
 
+  /// Gives instance `index` an app slot and a slot range, bakes its cost
+  /// rows into the slabs, and readies (or schedules the release of) its
+  /// source kernels.
+  void place(std::size_t index, sim::TimeMs arrival_ms,
+             std::shared_ptr<const ShapeEntry> shape_entry) {
     std::uint32_t app_slot;
     if (!free_app_slots_.empty()) {
       app_slot = free_app_slots_.back();
@@ -1239,7 +1310,7 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     App& app = apps_[app_slot];
     app.index = index;
     app.arrival_ms = arrival_ms;
-    app.shape = acquire_shape(std::move(dag));
+    app.shape = std::move(shape_entry);
     const ShapeEntry& shape = *app.shape;
     const std::size_t n = shape.dag.node_count();
     app.remaining = n;
@@ -1273,12 +1344,15 @@ class StreamEngine::Context final : public sim::SchedulerContext {
       }
     }
     ++live_count_;
-    observation_.live_apps.observe(now_, live_count_);
   }
 
   const sim::System& system_;
   const sim::CostModel& base_cost_;
-  const DagSource& source_;
+  const DagSource* const source_;  ///< null in a closed run
+  const bool closed_;
+  /// Fill the per-app transfer logs (closed runs, recorded schedules, or
+  /// a trace sink that renders delivered messages).
+  const bool keep_transfers_;
   const StreamOptions& options_;
   sim::Policy& policy_;
 
@@ -1344,11 +1418,15 @@ class StreamEngine::Context final : public sim::SchedulerContext {
 
   EventQueue events_;    ///< kernel completions
   EventQueue releases_;  ///< future release instants (arrival + offset)
+  ArrivalProcess* arrivals_ = nullptr;  ///< stream runs only
   std::optional<sim::TimeMs> next_arrival_;
 
   sim::StreamObservation observation_;
   std::vector<StreamAppSchedule> schedules_;
+  sim::SimResult closed_result_;
 };
+
+}  // namespace
 
 StreamEngine::StreamEngine(const sim::System& system,
                            const sim::CostModel& base_cost, DagSource source,
@@ -1372,15 +1450,37 @@ StreamOutcome StreamEngine::run(sim::Policy& policy) {
     throw std::invalid_argument(
         "StreamEngine: straggler hedging requires an uncontended topology "
         "(a replica's input transfers are not modelled as fabric messages)");
-  // The same lifecycle every policy sees in the closed-system engine; the
-  // DAG is empty because instances only materialize as they arrive.
+  // The same lifecycle every policy sees in a closed run; the DAG is
+  // empty because instances only materialize as they arrive.
   // prepare() receives the context's own cost model (topology-priced
   // under a contended fabric), so a policy that caches the reference sees
   // the same object SchedulerContext::cost_model() later returns.
   const dag::Dag no_dag;
-  Context ctx(system_, base_cost_, source_, options_, policy);
+  Context ctx(system_, base_cost_, &source_, options_, policy);
   policy.prepare(no_dag, system_, ctx.cost_model());
-  return ctx.simulate();
+  return ctx.simulate_stream();
 }
+
+namespace detail {
+
+sim::SimResult run_closed(const dag::Dag& dag, const sim::System& system,
+                          const sim::PrecomputedCostModel& dense,
+                          const sim::EngineOptions& options,
+                          sim::Policy& policy) {
+  StreamOptions closed;
+  closed.noise = options.noise;
+  closed.hedging = options.hedging;
+  closed.sink = options.sink;
+  closed.profile = options.profile;
+  Context ctx(system, dense, nullptr, closed, policy);
+  // prepare() runs even for an empty DAG so every policy sees the same
+  // lifecycle regardless of input. Static policies plan here from the
+  // whole graph; under a contended fabric they price edges against it.
+  policy.prepare(dag, system, ctx.cost_model());
+  if (dag.empty()) return sim::SimResult{};
+  return ctx.simulate_closed(dag, dense);
+}
+
+}  // namespace detail
 
 }  // namespace apt::stream

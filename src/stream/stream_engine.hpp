@@ -1,52 +1,54 @@
-// The open-system stream engine: many concurrently-arriving DAG instances
-// multiplexed onto one shared platform.
+// The simulation engine: DAG instances multiplexed onto one shared
+// platform. It is the only SchedulerContext implementation, with two entry
+// points:
 //
-// sim::Engine answers the thesis's closed-system question — one DAG,
-// everything submitted at time zero, report the makespan. StreamEngine
-// answers the open-system question the paper's "incoming stream of
-// applications" framing implies: applications drawn from a DagSource
-// arrive by an ArrivalProcess, contend for the same processors, and are
-// judged by flow time, slowdown, throughput, utilization, and backlog
-// (sim::StreamMetrics).
+//   * StreamEngine::run answers the open-system question the paper's
+//     "incoming stream of applications" framing implies: applications drawn
+//     from a DagSource arrive by an ArrivalProcess, contend for the same
+//     processors, and are judged by flow time, slowdown, throughput,
+//     utilization, and backlog (sim::StreamMetrics).
+//   * sim::Engine::run answers the thesis's closed-system question — one
+//     DAG, everything submitted at time zero, report the makespan — as a
+//     single instance admitted at t = 0 (detail::run_closed below). That
+//     instance borrows the caller's graph and dense cost tables; its
+//     transfer records are always kept, and it traces and counts no
+//     arrival or retirement and collects no stream metrics.
 //
-// Mechanics: the engine reuses sim::Engine's hot-path design — O(1)
-// tombstoned ready-set bookkeeping, a cached idle-processor list, queued
-// kernels carrying their execution time — but generalizes every per-node
-// array to global *slots* spanning the live instances, laid out as
-// structure-of-arrays slabs (exec-time rows, min-exec tables) the
-// scheduler queries read directly. Cost tables are pooled by DAG shape:
-// structurally identical instances (the common case — generators emit a
-// fixed family) share one PrecomputedCostModel, lower bound, and
-// predecessor CSR instead of rebuilding them per arrival; the pool is
-// keyed by dag::structure_hash, every hit confirmed by dag::identical.
-// A retired instance (all kernels done) releases its slot range back to a
-// free-range allocator and its per-app statistics are folded into bounded
-// aggregates, so memory is bounded by the peak number of concurrently-live
-// instances (plus the bounded shape pool), not by the length of the run.
+// Mechanics: O(1) tombstoned ready-set bookkeeping, a cached
+// idle-processor list, queued kernels carrying their execution time, and
+// every per-node array indexed by global *slots* spanning the live
+// instances, laid out as structure-of-arrays slabs (exec-time rows,
+// min-exec tables) the scheduler queries read directly. Stream cost tables
+// are pooled by DAG shape: structurally identical instances (the common
+// case — generators emit a fixed family) share one PrecomputedCostModel,
+// lower bound, and predecessor CSR instead of rebuilding them per arrival;
+// the pool is keyed by dag::structure_hash, every hit confirmed by
+// dag::identical. A retired instance (all kernels done) releases its slot
+// range back to a free-range allocator and its per-app statistics are
+// folded into bounded aggregates, so memory is bounded by the peak number
+// of concurrently-live instances (plus the bounded shape pool), not by the
+// length of the run.
 //
-// Policies: any *dynamic* sim::Policy runs unmodified — the scheduler
-// context exposes ready kernels (as global ids), idle processors, and cost
-// queries exactly as the closed-system engine does, and no dynamic policy
-// inspects the DAG object itself. Static policies (HEFT, PEFT, ranked APT)
-// plan from the whole DAG up front, which does not exist in an open
-// system; run() rejects them. SchedulerContext::dag() therefore throws
-// std::logic_error in stream contexts. Two further deliberate deviations
-// from sim::Engine, both documented here because they bound memory:
-// per-processor execution history (recent_avg_exec_ms) is capped at the
-// most recent 1024 completions, and per-kernel schedules are only retained
-// when StreamOptions::record_schedules is set.
+// Policies: the scheduler context exposes ready kernels (as global ids),
+// idle processors, and cost queries; no policy inspects the DAG through
+// it. Static policies (HEFT, PEFT, ranked APT) plan from the whole DAG in
+// Policy::prepare, which a closed run provides and an open system does
+// not, so StreamEngine::run rejects them. Per-processor execution history
+// (recent_avg_exec_ms) is capped at the most recent 1024 completions, and
+// a stream run retains per-kernel schedules only when
+// StreamOptions::record_schedules is set — both bound memory.
 //
 // Determinism: identical inputs give identical results. Events sharing a
 // timestamp are processed completions-first (ascending slot id), then
-// transfer deliveries, then releases, then admissions — single-arrival
-// streams therefore reproduce sim::Engine's schedule exactly.
+// transfer deliveries, then releases, then admissions — a single-arrival
+// stream at t = 0 therefore reproduces the closed run's schedule.
 //
-// Communication: exactly sim::Engine's model — ideal topologies keep the
-// analytic uncontended transfer stalls, contended ones (see net/) simulate
-// per-edge messages with fair bandwidth sharing, with the links shared
-// ACROSS application instances just like the processors. Per-app transfer
-// logs are retained only under record_schedules; per-link busy/byte totals
-// always land in the metrics.
+// Communication: ideal topologies keep the analytic uncontended transfer
+// stalls, contended ones (see net/) simulate per-edge messages with fair
+// bandwidth sharing, with the links shared ACROSS application instances
+// just like the processors. Stream transfer logs are retained only under
+// record_schedules (or a trace sink); per-link busy/byte totals always
+// land in the stream metrics.
 #pragma once
 
 #include <cstdint>
@@ -67,6 +69,11 @@ namespace apt::obs {
 class Profile;
 class TraceSink;
 }  // namespace apt::obs
+
+namespace apt::sim {
+class PrecomputedCostModel;
+struct EngineOptions;
+}  // namespace apt::sim
 
 namespace apt::stream {
 
@@ -151,12 +158,24 @@ class StreamEngine {
   StreamOutcome run(sim::Policy& policy);
 
  private:
-  class Context;
-
   const sim::System& system_;
   const sim::CostModel& base_cost_;
   DagSource source_;
   StreamOptions options_;
 };
+
+namespace detail {
+
+/// The closed-system run behind sim::Engine::run: `dag` becomes the single
+/// instance of one stream run, admitted at t = 0 with `dense` (built for
+/// this `dag` and `system`) borrowed as its cost tables. Calls
+/// policy.prepare(dag, ...) first — static policies plan there — and
+/// returns SimResult{} for an empty DAG. Options are not re-validated.
+sim::SimResult run_closed(const dag::Dag& dag, const sim::System& system,
+                          const sim::PrecomputedCostModel& dense,
+                          const sim::EngineOptions& options,
+                          sim::Policy& policy);
+
+}  // namespace detail
 
 }  // namespace apt::stream

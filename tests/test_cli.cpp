@@ -34,6 +34,17 @@ TEST(Cli, NoArgumentsPrintsUsageAndSucceeds) {
   EXPECT_EQ(run_cli(""), 0);
 }
 
+TEST(Cli, HelpPrintsUsageAndSucceeds) {
+  const std::string out = ::testing::TempDir() + "/aptsim_help.txt";
+  for (const std::string spelling :
+       {"run --help", "sweep --help", "stream --help", "stream -h",
+        "run --policy apt:4 --help", "--help", "-h"}) {
+    ASSERT_EQ(run_cli(spelling, out), 0) << spelling;
+    EXPECT_NE(slurp(out).find("usage:"), std::string::npos) << spelling;
+  }
+  std::filesystem::remove(out);
+}
+
 TEST(Cli, UnknownCommandFails) {
   EXPECT_NE(run_cli("frobnicate"), 0);
 }

@@ -104,8 +104,8 @@ TEST(EngineEdge, InputTransferOfEntryNodesIsZero) {
     bool is_dynamic() const override { return true; }
     void on_event(SchedulerContext& ctx) override {
       if (ctx.ready().empty()) return;
-      EXPECT_DOUBLE_EQ(ctx.input_transfer_ms(0, 0), 0.0);
-      EXPECT_DOUBLE_EQ(ctx.input_transfer_ms(0, 1), 0.0);
+      EXPECT_DOUBLE_EQ(ctx.transfer_estimate(0, 0).stall_ms, 0.0);
+      EXPECT_DOUBLE_EQ(ctx.transfer_estimate(0, 1).stall_ms, 0.0);
       ctx.assign(0, 0);
     }
   };

@@ -444,8 +444,9 @@ TEST(Engine, InputTransferUsesWorstPredecessorEdge) {
       for (dag::NodeId n : ready) {
         if (n == 2) {
           // preds on p0 and p1; transfers to p2 are 5 and 2 -> max 5.
-          EXPECT_DOUBLE_EQ(ctx.input_transfer_ms(2, 2), 5.0);
-          EXPECT_DOUBLE_EQ(ctx.input_transfer_ms(2, 0), 2.0);  // only 1->0
+          EXPECT_DOUBLE_EQ(ctx.transfer_estimate(2, 2).stall_ms, 5.0);
+          // Only the 1 -> 0 edge moves data.
+          EXPECT_DOUBLE_EQ(ctx.transfer_estimate(2, 0).stall_ms, 2.0);
           ctx.assign(2, 2);
         } else {
           ctx.assign(n, static_cast<ProcId>(n));

@@ -70,6 +70,8 @@ TEST(PrecomputedCostModel, ForeignDagFallsBackToBase) {
   const System system = test::paper_system();
   const LutCostModel base(lut::paper_lookup_table(), system);
   const PrecomputedCostModel fast(graph, system, base);
+  EXPECT_TRUE(fast.built_for(graph, system));
+  EXPECT_FALSE(fast.built_for(other, system));
   // Queries about a dag the adapter never saw answer from the base model.
   EXPECT_EQ(fast.exec_time_ms(other, 0, system.processor(0)),
             base.exec_time_ms(other, 0, system.processor(0)));
@@ -81,11 +83,14 @@ TEST(PrecomputedCostModel, ForeignDagFallsBackToBase) {
 
 TEST(PrecomputedCostModel, EngineRunsAreBitIdenticalWithAndWithoutWrapping) {
   // Engine::run wraps internally; pre-wrapping by hand must change nothing
-  // (and the engine must not double-wrap).
+  // (and the engine must not double-wrap). A model densified for another
+  // graph must not lend its tables to this one.
   const dag::Dag graph = dag::paper_graph(dag::DfgType::Type2, 1);
+  const dag::Dag other = dag::paper_graph(dag::DfgType::Type1, 2);
   const System system = test::paper_system();
   const LutCostModel base(lut::paper_lookup_table(), system);
   const PrecomputedCostModel fast(graph, system, base);
+  const PrecomputedCostModel foreign(other, system, base);
 
   const auto run = [&](const CostModel& cost) {
     auto policy = core::make_policy("apt:4");
@@ -93,12 +98,13 @@ TEST(PrecomputedCostModel, EngineRunsAreBitIdenticalWithAndWithoutWrapping) {
     return engine.run(*policy);
   };
   const SimResult a = run(base);
-  const SimResult b = run(fast);
-  ASSERT_EQ(a.schedule.size(), b.schedule.size());
-  EXPECT_EQ(a.makespan, b.makespan);
-  for (std::size_t i = 0; i < a.schedule.size(); ++i) {
-    EXPECT_EQ(a.schedule[i].proc, b.schedule[i].proc);
-    EXPECT_EQ(a.schedule[i].finish_time, b.schedule[i].finish_time);
+  for (const SimResult& b : {run(fast), run(foreign)}) {
+    ASSERT_EQ(a.schedule.size(), b.schedule.size());
+    EXPECT_EQ(a.makespan, b.makespan);
+    for (std::size_t i = 0; i < a.schedule.size(); ++i) {
+      EXPECT_EQ(a.schedule[i].proc, b.schedule[i].proc);
+      EXPECT_EQ(a.schedule[i].finish_time, b.schedule[i].finish_time);
+    }
   }
 }
 

@@ -1,9 +1,6 @@
 // Tests of the structured policy↔fabric estimation contract
 // (sim/transfer_estimate.hpp):
 //
-//  * the deprecated input_transfer_ms wrapper and TransferEstimate::stall_ms
-//    are bit-identical at every decision instant the engine offers a policy
-//    — the API redesign changed the shape of the contract, not its values;
 //  * stall_ms matches a hand replication of the cost-model scan over the
 //    scheduled predecessors (the TopologyCostModel convention cross-check);
 //  * ideal topologies report no queueing and no bottleneck link; contended
@@ -53,16 +50,17 @@ lut::LookupTable test_table() {
 }
 
 /// A policy that interrogates transfer_estimate for every (ready kernel,
-/// processor) pair at every event, cross-checks it against the legacy
-/// wrapper, its own placement records, and the topology conventions — then
+/// processor) pair at every event, cross-checks it against its own
+/// placement records and the topology conventions — then
 /// schedules greedily so the run makes progress through many fabric states.
 class ProbePolicy : public sim::Policy {
  public:
   std::string name() const override { return "probe"; }
   bool is_dynamic() const override { return true; }
 
-  void prepare(const dag::Dag&, const sim::System&,
+  void prepare(const dag::Dag& dag, const sim::System&,
                const sim::CostModel&) override {
+    dag_ = &dag;
     placement_.clear();
     backlogged_estimates_ = 0;
     estimates_checked_ = 0;
@@ -76,19 +74,16 @@ class ProbePolicy : public sim::Policy {
         const sim::TransferEstimate est = ctx.transfer_estimate(node, p);
         ++estimates_checked_;
 
-        // The deprecated scalar is the stall reading, bit for bit.
-        EXPECT_EQ(ctx.input_transfer_ms(node, p), est.stall_ms);
-
         // Replicate the engine's predecessor scan from our own placement
         // records: worst (max) edge via the policy-visible cost model,
         // first maximum winning ties.
         sim::TimeMs expected_stall = 0.0;
         sim::ProcId worst_from = p;
-        for (const dag::NodeId pred : ctx.dag().predecessors(node)) {
+        for (const dag::NodeId pred : dag_->predecessors(node)) {
           const auto it = placement_.find(pred);
           ASSERT_NE(it, placement_.end()) << "ready node with unplaced pred";
           const sim::TimeMs edge = ctx.cost_model().transfer_time_ms(
-              ctx.dag(), pred, node, ctx.system().processor(it->second),
+              *dag_, pred, node, ctx.system().processor(it->second),
               ctx.system().processor(p));
           if (edge > expected_stall) {
             expected_stall = edge;
@@ -138,6 +133,7 @@ class ProbePolicy : public sim::Policy {
   std::size_t estimates_checked() const { return estimates_checked_; }
 
  private:
+  const dag::Dag* dag_ = nullptr;
   std::map<dag::NodeId, sim::ProcId> placement_;
   std::size_t backlogged_estimates_ = 0;
   std::size_t estimates_checked_ = 0;
