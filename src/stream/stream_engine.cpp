@@ -527,9 +527,7 @@ class Context final : public sim::SchedulerContext {
   const App& app_of(dag::NodeId slot) const {
     const std::uint32_t a = node_state_.at(slot).app;
     if (a == kNoApp)
-      throw std::logic_error("SchedulerContext: kernel " +
-                             std::to_string(slot) +
-                             " belongs to no live instance");
+      throw std::logic_error("StreamEngine: slot has no live application");
     return apps_[a];
   }
 
