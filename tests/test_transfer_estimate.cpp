@@ -51,8 +51,8 @@ lut::LookupTable test_table() {
 
 /// A policy that interrogates transfer_estimate for every (ready kernel,
 /// processor) pair at every event, cross-checks it against its own
-/// placement records and the topology conventions — then
-/// schedules greedily so the run makes progress through many fabric states.
+/// placement records and the topology conventions — then schedules
+/// greedily so the run makes progress through many fabric states.
 class ProbePolicy : public sim::Policy {
  public:
   std::string name() const override { return "probe"; }
