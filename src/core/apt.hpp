@@ -73,6 +73,9 @@ class Apt : public sim::Policy {
  private:
   AptOptions options_;
 
+  /// m_q for this run (1 unless rank_quantile is set), computed once.
+  double quantile_mult(const sim::SchedulerContext& ctx) const;
+
   /// Cached m_q = noise_quantile_multiplier(run spec, rank_quantile);
   /// the spec is fixed per run, so the bisection runs once. Reset by
   /// prepare(), filled lazily from the first on_event's context.

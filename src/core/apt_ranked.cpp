@@ -26,14 +26,18 @@ void AptRanked::prepare(const dag::Dag& dag, const sim::System& system,
 }
 
 void AptRanked::on_event(sim::SchedulerContext& ctx) {
+  // Every branch below acts only through an idle processor, and
+  // assignments only consume them: with none idle the pass is a no-op.
+  if (ctx.idle_processors().empty()) return;
   // Serve the ready set highest-upward-rank first (ties: lower id, which
   // std::stable_sort preserves from the FIFO order).
-  std::vector<dag::NodeId> ready = ctx.ready();
+  std::vector<dag::NodeId> ready = ctx.ready_set().snapshot();
   std::stable_sort(ready.begin(), ready.end(),
                    [this](dag::NodeId a, dag::NodeId b) {
                      return rank_.at(a) > rank_.at(b);
                    });
   for (const dag::NodeId node : ready) {
+    if (ctx.idle_processors().empty()) return;
     if (const auto pmin = policies::idle_optimal_proc(ctx, node)) {
       ctx.assign(node, *pmin);
       continue;

@@ -29,7 +29,7 @@ enum class Counter : std::size_t {
   kPolicyPasses,      ///< policy.on_event invocations
   kPolicyDecisions,   ///< assign() + enqueue() commitments
   kReadyMarked,       ///< kernels entering the ready set
-  kReadyCompactions,  ///< tombstone compactions of the ready set
+  kReadyCompactions,  ///< FIFO snapshots materialised for ready() callers
   kEventsProcessed,   ///< popped event-queue entries (all kinds)
   kHedgeChecks,       ///< hedge-check events processed
   kTransfersStarted,  ///< fabric messages created
@@ -41,7 +41,7 @@ enum class Counter : std::size_t {
 /// Scoped wall-clock timers of one simulation run.
 enum class Timer : std::size_t {
   kPolicyPass,         ///< one policy.on_event call
-  kEventLoopAdvance,   ///< one advance_to_next_event pass
+  kEventLoopAdvance,   ///< one advance_to_next_event pass (excl. drain)
   kDrainQueues,        ///< one queue-head drain pass
   kTmSolveFull,        ///< TransferManager full max-min re-solve
   kTmSolveIncremental, ///< TransferManager incremental component re-solve

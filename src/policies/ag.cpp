@@ -28,8 +28,10 @@ void AdaptiveGreedy::on_event(sim::SchedulerContext& ctx) {
   // AG commits every ready kernel to some processor queue immediately —
   // it never leaves work unqueued (thesis Table 2: "never waits" = No, but
   // the *scheduler* always acts; waiting happens inside the queues).
-  const std::vector<dag::NodeId> ready = ctx.ready();
-  for (const dag::NodeId node : ready) {
+  // Walk I in place: enqueue() unlinks only the kernel it commits.
+  const sim::ReadySet& ready = ctx.ready_set();
+  for (dag::NodeId node = ready.front(); node != dag::kInvalidNode;) {
+    const dag::NodeId next = ready.next(node);
     sim::ProcId best = 0;
     sim::TimeMs best_tau = 0.0;
     for (sim::ProcId proc = 0; proc < ctx.system().proc_count(); ++proc) {
@@ -46,6 +48,7 @@ void AdaptiveGreedy::on_event(sim::SchedulerContext& ctx) {
       }
     }
     ctx.enqueue(node, best);
+    node = next;
   }
 }
 

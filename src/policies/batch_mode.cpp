@@ -48,8 +48,8 @@ Candidate evaluate(const sim::SchedulerContext& ctx, dag::NodeId node,
 }  // namespace
 
 void BatchMode::on_event(sim::SchedulerContext& ctx) {
+  const sim::ReadySet& ready = ctx.ready_set();
   for (;;) {
-    const auto& ready = ctx.ready();
     const auto& idle = ctx.idle_processors();
     if (ready.empty() || idle.empty()) return;
 
@@ -57,7 +57,8 @@ void BatchMode::on_event(sim::SchedulerContext& ctx) {
     Candidate chosen_cand;
     double chosen_key = 0.0;
     bool first = true;
-    for (const dag::NodeId node : ready) {
+    for (dag::NodeId node = ready.front(); node != dag::kInvalidNode;
+         node = ready.next(node)) {
       const Candidate cand = evaluate(ctx, node, idle);
       double key = 0.0;
       bool better = false;

@@ -5,20 +5,21 @@
 namespace apt::policies {
 
 void Met::on_event(sim::SchedulerContext& ctx) {
-  // Saturation fast path: idle_optimal_proc can only answer from the idle
-  // set, and assignments only consume idle processors — an empty idle set
-  // makes the rest of the pass a provable no-op, so skip it.
+  // Saturation fast path: MET acts only through an idle p_min, and
+  // assignments only consume idle processors — an empty idle set makes
+  // the pass a provable no-op.
   if (ctx.idle_processors().empty()) return;
-  // Snapshot: assign() mutates the ready list. A single pass suffices —
-  // assignments only consume idle processors, never create them.
-  const std::vector<dag::NodeId> ready = ctx.ready();
-  for (const dag::NodeId node : ready) {
-    if (ctx.idle_processors().empty()) break;
-    if (const auto proc = idle_optimal_proc(ctx, node)) {
-      ctx.assign(node, *proc);
-    }
-    // Otherwise: wait for the optimal processor to free up.
-  }
+  // The FIFO scan, bucketed: whether some p_min is idle is a fact of the
+  // kernel's cost row, so a row whose every optimal processor is busy
+  // waits as a whole and a live row hands its kernels over head first.
+  std::optional<sim::ProcId> pmin;  // the live row's idle p_min
+  for_each_ready_by_row(
+      ctx,
+      [&](sim::ReadySet::RowId row) {
+        pmin = idle_optimal_proc_for_row(ctx, row);
+        return pmin.has_value();
+      },
+      [&](dag::NodeId node) { ctx.assign(node, *pmin); });
 }
 
 }  // namespace apt::policies

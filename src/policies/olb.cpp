@@ -3,8 +3,8 @@
 namespace apt::policies {
 
 void Olb::on_event(sim::SchedulerContext& ctx) {
+  const sim::ReadySet& ready = ctx.ready_set();
   for (;;) {
-    const auto& ready = ctx.ready();
     const auto& idle = ctx.idle_processors();
     if (ready.empty() || idle.empty()) return;
     ctx.assign(ready.front(), idle.front());

@@ -23,6 +23,17 @@ std::optional<sim::ProcId> idle_optimal_proc(const sim::SchedulerContext& ctx,
   return std::nullopt;
 }
 
+std::optional<sim::ProcId> idle_optimal_proc_for_row(
+    const sim::SchedulerContext& ctx, sim::ReadySet::RowId row) {
+  const sim::ReadySet& ready = ctx.ready_set();
+  const sim::TimeMs* exec = ready.exec_row(row);
+  const sim::TimeMs best = ready.min_exec(row);
+  for (const sim::ProcId p : ctx.idle_processors()) {
+    if (exec[p] == best) return p;
+  }
+  return std::nullopt;
+}
+
 std::optional<sim::ProcId> idle_min_exec_proc(const sim::SchedulerContext& ctx,
                                               dag::NodeId node) {
   std::optional<sim::ProcId> best;

@@ -1,7 +1,11 @@
 // Shared processor-selection helpers for the dynamic policies.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "sim/policy.hpp"
 
@@ -25,5 +29,62 @@ std::optional<sim::ProcId> idle_optimal_proc(const sim::SchedulerContext& ctx,
 /// (ties -> lowest id); nullopt when nothing is idle.
 std::optional<sim::ProcId> idle_min_exec_proc(const sim::SchedulerContext& ctx,
                                               dag::NodeId node);
+
+/// An *idle* processor attaining the row's minimum execution time (the
+/// lowest id, as idle_optimal_proc picks for any kernel of the row).
+std::optional<sim::ProcId> idle_optimal_proc_for_row(
+    const sim::SchedulerContext& ctx, sim::ReadySet::RowId row);
+
+/// Visits the ready kernels in FIFO order, as a plain front-to-back scan
+/// would, but skips whole cost rows that cannot act. Each row's next kernel
+/// is visited only after `row_live(row)` re-checks the row against the
+/// current idle set; a false answer drops the row's remaining kernels for
+/// the rest of the pass. That is exact when false means "no kernel of this
+/// row would act at this idle set", because idle sets only shrink within a
+/// pass (commitments consume processors, nothing frees one). `visit(node)`
+/// may assign or enqueue `node` itself. The pass ends when the idle set
+/// empties or every row is exhausted: O((rows + visits) log rows) through
+/// a heap of per-row cursors. When the rows are shallow (|I| <= 2·rows)
+/// there is nothing to skip, and a plain FIFO walk asking `row_live` per
+/// kernel visits the same kernels in the same order more cheaply.
+template <class RowLive, class Visit>
+void for_each_ready_by_row(sim::SchedulerContext& ctx, RowLive&& row_live,
+                           Visit&& visit) {
+  const sim::ReadySet& ready = ctx.ready_set();
+  if (ready.size() <= 2 * ready.active_rows().size()) {
+    for (dag::NodeId node = ready.front();
+         node != dag::kInvalidNode && !ctx.idle_processors().empty();) {
+      const dag::NodeId next = ready.next(node);  // before visit unlinks
+      if (row_live(ready.row_of(node))) visit(node);
+      node = next;
+    }
+    return;
+  }
+  // Min-heap of (sequence number, node) over one cursor per row: the
+  // smallest sequence number is the earliest-arrived unvisited kernel.
+  using Cursor = std::pair<std::uint64_t, dag::NodeId>;
+  std::vector<Cursor> heap;
+  heap.reserve(ready.active_rows().size());
+  for (const sim::ReadySet::RowId row : ready.active_rows()) {
+    const dag::NodeId head = ready.row_front(row);
+    heap.emplace_back(ready.seq(head), head);
+  }
+  const auto later = [](const Cursor& a, const Cursor& b) {
+    return a.first > b.first;
+  };
+  std::make_heap(heap.begin(), heap.end(), later);
+  while (!heap.empty() && !ctx.idle_processors().empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const dag::NodeId node = heap.back().second;
+    heap.pop_back();
+    if (!row_live(ready.row_of(node))) continue;  // the whole row is out
+    const dag::NodeId next = ready.row_next(node);  // before visit unlinks
+    visit(node);
+    if (next != dag::kInvalidNode) {
+      heap.emplace_back(ready.seq(next), next);
+      std::push_heap(heap.begin(), heap.end(), later);
+    }
+  }
+}
 
 }  // namespace apt::policies

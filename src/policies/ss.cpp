@@ -5,8 +5,8 @@
 namespace apt::policies {
 
 void SerialScheduling::on_event(sim::SchedulerContext& ctx) {
+  const sim::ReadySet& ready = ctx.ready_set();
   for (;;) {
-    const auto& ready = ctx.ready();
     const auto& idle = ctx.idle_processors();
     if (ready.empty() || idle.empty()) return;
 
@@ -14,7 +14,8 @@ void SerialScheduling::on_event(sim::SchedulerContext& ctx) {
     // processors wins; FIFO order breaks ties.
     dag::NodeId best_node = dag::kInvalidNode;
     double best_stddev = -1.0;
-    for (const dag::NodeId node : ready) {
+    for (dag::NodeId node = ready.front(); node != dag::kInvalidNode;
+         node = ready.next(node)) {
       util::RunningStats stats;
       for (const sim::ProcId proc : idle) stats.add(ctx.exec_time_ms(node, proc));
       if (stats.stddev() > best_stddev) {

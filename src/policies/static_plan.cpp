@@ -47,8 +47,7 @@ void StaticPolicyBase::on_event(sim::SchedulerContext& ctx) {
   for (sim::ProcId p = 0; p < ctx.system().proc_count(); ++p) {
     if (!ctx.is_idle(p) || next_[p] >= order_[p].size()) continue;
     const dag::NodeId node = order_[p][next_[p]];
-    const auto& ready = ctx.ready();
-    if (std::find(ready.begin(), ready.end(), node) == ready.end()) continue;
+    if (!ctx.ready_set().contains(node)) continue;
     ctx.assign(node, p);
     ++next_[p];
   }

@@ -14,6 +14,7 @@
 #include "dag/graph.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/noise.hpp"
+#include "sim/ready_set.hpp"
 #include "sim/system.hpp"
 #include "sim/transfer_estimate.hpp"
 
@@ -31,7 +32,11 @@ enum class TransferSemantics {
 
 /// View of the running simulation offered to a policy, plus the two actions
 /// a policy can take (assign to an idle processor / enqueue behind a busy
-/// one). Implemented by the engine.
+/// one). Implemented by the engine (stream/stream_engine.cpp). Node ids
+/// are the engine's global slot ids; in a closed run they equal the DAG's
+/// own ids. A policy pass should cost O(rows + decisions), not O(|I|):
+/// per-kernel cost facts are facts of the kernel's cost row, which
+/// ready_set() exposes directly.
 class SchedulerContext {
  public:
   virtual ~SchedulerContext() = default;
@@ -40,8 +45,16 @@ class SchedulerContext {
   virtual const System& system() const = 0;
   virtual const CostModel& cost_model() const = 0;
 
-  /// Ready, not-yet-assigned kernels in arrival (FIFO) order: the set I.
-  virtual const std::vector<dag::NodeId>& ready() const = 0;
+  /// The ready, not-yet-assigned kernels: the set I, kept incrementally in
+  /// arrival (FIFO) order and bucketed by cost row (sim/ready_set.hpp).
+  /// Walk it in place; assign()/enqueue() unlink only the kernel they
+  /// commit, so a walk that saved next() before committing stays valid.
+  virtual const ReadySet& ready_set() const = 0;
+
+  /// The set I materialised as a FIFO vector, O(|I|) per call: for tests
+  /// and one-off inspection, never a policy's hot path (a profiled run
+  /// counts each call as ready_compactions).
+  virtual std::vector<dag::NodeId> ready() const = 0;
 
   /// True when the processor is neither executing nor holding queued work:
   /// membership in the available set A.
@@ -79,20 +92,22 @@ class SchedulerContext {
   virtual TimeMs exec_time_ms(dag::NodeId node, ProcId proc) const = 0;
 
   /// Minimum execution time of `node` over every processor, and the lowest
-  /// processor id attaining it: O(1) precomputed lookups — the scan they
-  /// replace is the hottest loop of the MET-family policies, which call
-  /// these for every ready kernel at every event.
+  /// processor id attaining it: O(1) reads of the node's interned cost row
+  /// (ReadySet::min_exec / min_proc).
   virtual TimeMs min_exec_time_ms(dag::NodeId node) const = 0;
   virtual ProcId min_exec_proc(dag::NodeId node) const = 0;
 
-  /// Structured input-transfer estimate if `node` were assigned to `proc`
-  /// now (see sim/transfer_estimate.hpp). stall_ms is the worst-case
-  /// unloaded stall — max over predecessors of the edge transfer time from
-  /// the predecessor's actual processor. Under a contended topology the
-  /// engine additionally fills link_queueing_ms / bottleneck_link from the
-  /// live TransferManager backlog (predicted drain of each route link's
-  /// in-flight bytes at current max-min rates), and the run's NoiseSpec
-  /// feeds quantile_ms. On an ideal topology only stall_ms is non-trivial.
+  /// Structured input-transfer estimate if the ready `node` were assigned
+  /// to `proc` now (see sim/transfer_estimate.hpp). stall_ms is the
+  /// worst-case unloaded stall — max over predecessors of the edge
+  /// transfer time from the predecessor's actual processor. Under a
+  /// contended topology the engine additionally fills link_queueing_ms /
+  /// bottleneck_link from the live TransferManager backlog (predicted
+  /// drain of each route link's in-flight bytes at current max-min
+  /// rates), and the run's NoiseSpec feeds quantile_ms. On an ideal
+  /// topology only stall_ms is non-trivial, and the engine caches it per
+  /// (kernel, processor): a ready kernel's predecessors are all placed,
+  /// so a repeat query is O(1).
   virtual TransferEstimate transfer_estimate(dag::NodeId node,
                                              ProcId proc) const = 0;
 

@@ -1,6 +1,7 @@
 #include "stream/stream_engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <limits>
 #include <map>
@@ -15,6 +16,7 @@
 #include "obs/trace_sink.hpp"
 #include "sim/engine.hpp"
 #include "sim/precomputed_cost_model.hpp"
+#include "sim/ready_set.hpp"
 #include "sim/validate.hpp"
 #include "util/contracts.hpp"
 #include "util/rolling_quantile.hpp"
@@ -104,7 +106,8 @@ class Context final : public sim::SchedulerContext {
         hedge_window_(options.hedging.window),
         sink_(options.sink),
         profile_(options.profile),
-        proc_state_(system.proc_count()) {
+        proc_state_(system.proc_count()),
+        ready_(system.proc_count()) {
     if (contended_) {
       tm_.emplace(topology_);
       // Per-link busy/bytes clip to the observation window exactly like
@@ -172,9 +175,11 @@ class Context final : public sim::SchedulerContext {
                       : base_cost_;
   }
 
-  const std::vector<dag::NodeId>& ready() const override {
-    if (ready_tombstones_ > 0) compact_ready();
-    return ready_;
+  const sim::ReadySet& ready_set() const override { return ready_; }
+
+  std::vector<dag::NodeId> ready() const override {
+    if (profile_) profile_->add(obs::Counter::kReadyCompactions);
+    return ready_.snapshot();
   }
 
   bool is_idle(sim::ProcId proc) const override {
@@ -235,21 +240,20 @@ class Context final : public sim::SchedulerContext {
     return sum / static_cast<double>(take);
   }
 
-  // The hottest queries of the whole engine: every MET-family policy pass
-  // asks these for every ready kernel. They read the per-slot SoA slabs
-  // admit() baked from the instance's shared ShapeEntry — one load instead
-  // of the slot -> app -> cost-model -> dag-check virtual chain.
+  // Cost queries read the slot's interned cost row, bound at placement —
+  // two loads instead of the slot -> app -> cost-model -> dag-check
+  // virtual chain. Bucketed policies read the same rows off ready_set().
   sim::TimeMs exec_time_ms(dag::NodeId slot,
                            sim::ProcId proc) const override {
-    return exec_row_[slot][proc];
+    return ready_.exec_row(ready_.row_of(slot))[proc];
   }
 
   sim::TimeMs min_exec_time_ms(dag::NodeId slot) const override {
-    return min_exec_slab_[slot];
+    return ready_.min_exec(ready_.row_of(slot));
   }
 
   sim::ProcId min_exec_proc(dag::NodeId slot) const override {
-    return min_proc_slab_[slot];
+    return ready_.min_proc(ready_.row_of(slot));
   }
 
   sim::TransferEstimate transfer_estimate(dag::NodeId slot,
@@ -328,8 +332,18 @@ class Context final : public sim::SchedulerContext {
  private:
   /// Worst-case unloaded input stall of `slot` on `proc`: the max over
   /// predecessors of the edge transfer time from the predecessor's actual
-  /// processor (TransferEstimate::stall_ms).
+  /// processor (TransferEstimate::stall_ms). Once `slot` is ready its
+  /// predecessors are final, so the answer is cached per (slot, proc)
+  /// until the slot is readied again: a kernel parked in the ready set is
+  /// re-priced in O(1) per pass instead of O(in-degree).
   sim::TimeMs stall_ms(dag::NodeId slot, sim::ProcId proc) const {
+    if (!node_state_[slot].ready) return uncached_stall_ms(slot, proc);
+    sim::TimeMs& cached = stall_cache_[slot * proc_count_ + proc];
+    if (std::isnan(cached)) cached = uncached_stall_ms(slot, proc);
+    return cached;
+  }
+
+  sim::TimeMs uncached_stall_ms(dag::NodeId slot, sim::ProcId proc) const {
     const App& app = app_of(slot);
     const ShapeEntry& shape = *app.shape;
     const dag::NodeId local = slot - app.base;
@@ -367,8 +381,7 @@ class Context final : public sim::SchedulerContext {
 
   struct NodeState {
     sim::ScheduledKernel record;  ///< record.node holds the LOCAL node id
-    bool ready = false;
-    bool assigned = false;
+    bool ready = false;           ///< entered the ready set
     bool done = false;
     std::uint32_t app = kNoApp;  ///< owning slot in apps_
     std::uint32_t epoch = 0;     ///< slot reuse generation (see Event)
@@ -408,8 +421,8 @@ class Context final : public sim::SchedulerContext {
 
   /// Immutable per-shape data shared by every live instance whose DAG is
   /// structurally identical: the canonical graph, its densified cost
-  /// tables, the makespan lower bound, per-node minimum-execution tables,
-  /// and a predecessor CSR whose entries point straight at the cost
+  /// tables, the makespan lower bound, each node's interned cost row, and
+  /// a predecessor CSR whose entries point straight at the cost
   /// model's transfer rows. Pooled entries own the graph and tables
   /// (`storage`) and are heap-pinned behind a shared_ptr — the cost model
   /// holds a pointer to the graph, so entries never move; they die when the
@@ -427,8 +440,7 @@ class Context final : public sim::SchedulerContext {
     const dag::Dag& dag;
     const sim::PrecomputedCostModel& cost;
     sim::TimeMs lower_bound_ms = 0.0;  ///< pooled (stream) entries only
-    std::vector<sim::TimeMs> min_exec;  ///< [local] min over processors
-    std::vector<sim::ProcId> min_proc;  ///< [local] lowest argmin
+    std::vector<sim::ReadySet::RowId> rows;  ///< [local] cost row
     struct PredEdge {
       dag::NodeId pred;        ///< local predecessor id
       const sim::TimeMs* row;  ///< that edge's P×P transfer table
@@ -443,25 +455,13 @@ class Context final : public sim::SchedulerContext {
         : dag(borrowed_dag), cost(borrowed_cost) {}
   };
 
-  /// Fills the entry's per-node minimum-execution tables and predecessor
+  /// Interns the entry's exec rows engine-wide and fills its predecessor
   /// CSR from its dense cost tables.
-  void bake_tables(ShapeEntry& entry) const {
+  void bake_tables(ShapeEntry& entry) {
     const std::size_t n = entry.dag.node_count();
-    entry.min_exec.resize(n);
-    entry.min_proc.resize(n);
-    for (dag::NodeId local = 0; local < n; ++local) {
-      const sim::TimeMs* row = entry.cost.exec_row(local);
-      sim::TimeMs best = row[0];
-      sim::ProcId best_proc = 0;
-      for (sim::ProcId p = 1; p < proc_count_; ++p) {
-        if (row[p] < best) {
-          best = row[p];
-          best_proc = p;
-        }
-      }
-      entry.min_exec[local] = best;
-      entry.min_proc[local] = best_proc;
-    }
+    entry.rows.resize(n);
+    for (dag::NodeId local = 0; local < n; ++local)
+      entry.rows[local] = ready_.intern_row(entry.cost.exec_row(local));
     entry.pred_offset.assign(n + 1, 0);
     entry.pred_edges.reserve(entry.dag.edge_count());
     for (dag::NodeId local = 0; local < n; ++local) {
@@ -549,10 +549,8 @@ class Context final : public sim::SchedulerContext {
     }
     const dag::NodeId base = static_cast<dag::NodeId>(node_state_.size());
     node_state_.resize(node_state_.size() + n);
-    ready_pos_.resize(node_state_.size(), kNoPos);
-    exec_row_.resize(node_state_.size(), nullptr);
-    min_exec_slab_.resize(node_state_.size(), 0.0);
-    min_proc_slab_.resize(node_state_.size(), 0);
+    ready_.resize(node_state_.size());
+    stall_cache_.resize(node_state_.size() * proc_count_);
     return base;
   }
 
@@ -582,40 +580,19 @@ class Context final : public sim::SchedulerContext {
     NodeState& ns = node_state_[slot];
     ns.ready = true;
     ns.record.ready_time = now_;
-    ready_pos_[slot] = ready_.size();
-    ready_.push_back(slot);
-    ++ready_count_;
-    if (!closed_) observation_.queue_depth.observe(now_, ready_count_);
+    std::fill_n(stall_cache_.begin() + slot * proc_count_, proc_count_,
+                std::numeric_limits<sim::TimeMs>::quiet_NaN());
+    ready_.insert(slot);
+    if (!closed_) observation_.queue_depth.observe(now_, ready_.size());
   }
 
   void take_from_ready(dag::NodeId slot) {
-    NodeState& ns = node_state_.at(slot);
-    if (!ns.ready || ns.assigned)
+    if (!ready_.contains(slot))
       throw std::logic_error("SchedulerContext: kernel " +
                              std::to_string(slot) +
                              " is not in the ready set");
-    ns.assigned = true;
-    // O(1): tombstone the entry; ready() compacts before the next read, so
-    // FIFO order of the survivors is preserved.
-    ready_[ready_pos_[slot]] = dag::kInvalidNode;
-    ready_pos_[slot] = kNoPos;
-    ++ready_tombstones_;
-    --ready_count_;
-    if (!closed_) observation_.queue_depth.observe(now_, ready_count_);
-  }
-
-  /// Removes tombstones in one pass, keeping arrival order.
-  void compact_ready() const {
-    if (profile_) profile_->add(obs::Counter::kReadyCompactions);
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < ready_.size(); ++i) {
-      const dag::NodeId slot = ready_[i];
-      if (slot == dag::kInvalidNode) continue;
-      ready_pos_[slot] = out;
-      ready_[out++] = slot;
-    }
-    ready_.resize(out);
-    ready_tombstones_ = 0;
+    ready_.erase(slot);
+    if (!closed_) observation_.queue_depth.observe(now_, ready_.size());
   }
 
   // --- observability (src/obs) ----------------------------------------------
@@ -833,8 +810,7 @@ class Context final : public sim::SchedulerContext {
     if (options_.hedging.enabled) schedule_hedge_check(slot);
   }
 
-  /// Pops queue heads onto idle processors. (Profiled as its own phase;
-  /// the calls from advance_to_next_event nest inside that timer.)
+  /// Pops queue heads onto idle processors (profiled as its own phase).
   void drain_queues() {
     obs::ScopedTimer timer(profile_, obs::Timer::kDrainQueues);
     for (sim::ProcId p = 0; p < proc_state_.size(); ++p) {
@@ -1098,6 +1074,7 @@ class Context final : public sim::SchedulerContext {
                                "executing and no arrival is pending");
       }
       advance_to_next_event();
+      drain_queues();
     }
   }
 
@@ -1141,7 +1118,6 @@ class Context final : public sim::SchedulerContext {
       if (node_state_[slot].remaining_preds == 0) mark_ready(slot);
     }
     process_arrivals();
-    drain_queues();
   }
 
   void complete_kernel(dag::NodeId slot) {
@@ -1225,11 +1201,11 @@ class Context final : public sim::SchedulerContext {
       schedule.dag = app.shape->dag;  // the shape's canonical copy is shared
       schedules_.push_back(std::move(schedule));
     }
-    // Clear ownership (and the baked cost rows) before releasing so stale
+    // Clear ownership (and the cost-row binding) before releasing so stale
     // queries fault loudly instead of reading a retired instance's tables.
     for (dag::NodeId local = 0; local < app.remaining_total; ++local) {
       node_state_[app.base + local].app = kNoApp;
-      exec_row_[app.base + local] = nullptr;
+      ready_.set_row(app.base + local, sim::ReadySet::kNoRow);
     }
     release_slots(app.base, app.remaining_total);
     app.shape.reset();  // may free the ShapeEntry if the pool let go
@@ -1326,11 +1302,7 @@ class Context final : public sim::SchedulerContext {
       ns.record.node = local;
       ns.app = app_slot;
       ns.remaining_preds = shape.dag.in_degree(local);
-      // Bake the shape's cost rows into the per-slot SoA slabs the
-      // scheduler queries hit.
-      exec_row_[slot] = shape.cost.exec_row(local);
-      min_exec_slab_[slot] = shape.min_exec[local];
-      min_proc_slab_[slot] = shape.min_proc[local];
+      ready_.set_row(slot, shape.rows[local]);
       if (ns.remaining_preds == 0) {
         const sim::TimeMs release =
             arrival_ms + shape.dag.node(local).release_ms;
@@ -1384,11 +1356,9 @@ class Context final : public sim::SchedulerContext {
   std::vector<NodeState> node_state_;  ///< global slot arrays
   std::vector<ProcState> proc_state_;
 
-  // Per-slot SoA cost slabs (grown with node_state_, rebaked per admit):
-  // the policy-facing queries read these instead of chasing app pointers.
-  std::vector<const sim::TimeMs*> exec_row_;  ///< [slot] -> P exec times
-  std::vector<sim::TimeMs> min_exec_slab_;    ///< [slot] min exec time
-  std::vector<sim::ProcId> min_proc_slab_;    ///< [slot] lowest argmin
+  /// [slot * P + proc] unloaded stall of a ready slot, NaN until asked
+  /// (see stall_ms); reset whenever the slot is readied.
+  mutable std::vector<sim::TimeMs> stall_cache_;
 
   /// Retired slot ranges, base -> length, adjacent ranges merged.
   std::map<dag::NodeId, std::size_t> free_ranges_;
@@ -1406,10 +1376,8 @@ class Context final : public sim::SchedulerContext {
       shape_pool_;
   std::size_t shape_pool_size_ = 0;
 
-  mutable std::vector<dag::NodeId> ready_;
-  mutable std::vector<std::size_t> ready_pos_;
-  mutable std::size_t ready_tombstones_ = 0;
-  std::size_t ready_count_ = 0;
+  /// The set I plus the engine-wide cost-row table every slot is bound to.
+  sim::ReadySet ready_;
 
   mutable std::vector<sim::ProcId> idle_cache_;
   mutable bool idle_dirty_ = true;

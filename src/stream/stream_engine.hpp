@@ -14,11 +14,13 @@
 //     transfer records are always kept, and it traces and counts no
 //     arrival or retirement and collects no stream metrics.
 //
-// Mechanics: O(1) tombstoned ready-set bookkeeping, a cached
-// idle-processor list, queued kernels carrying their execution time, and
-// every per-node array indexed by global *slots* spanning the live
-// instances, laid out as structure-of-arrays slabs (exec-time rows,
-// min-exec tables) the scheduler queries read directly. Stream cost tables
+// Mechanics: an incrementally kept ready set (sim::ReadySet: O(1) insert
+// and erase, FIFO-linked and bucketed by interned cost row), a cached
+// idle-processor list, queued kernels carrying their execution time, a
+// per-slot cache of ready kernels' unloaded input stalls, and every
+// per-node array indexed by global *slots* spanning the live instances.
+// Each slot is bound to its interned cost row, which the exec-time and
+// min-exec queries read directly. Stream cost tables
 // are pooled by DAG shape: structurally identical instances (the common
 // case — generators emit a fixed family) share one PrecomputedCostModel,
 // lower bound, and predecessor CSR instead of rebuilding them per arrival;
