@@ -54,7 +54,7 @@ void Apt::on_event(sim::SchedulerContext& ctx) {
   // act through no kernel until a processor frees, so it is dropped whole.
   std::optional<sim::ProcId> pmin;  // the row's idle p_min, for the visit
   policies::for_each_ready_by_row(
-      ctx,
+      ctx, row_cursors_,
       [&](sim::ReadySet::RowId row) {
         pmin = policies::idle_optimal_proc_for_row(ctx, row);
         if (pmin) return true;

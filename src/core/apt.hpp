@@ -30,6 +30,7 @@
 
 #include <optional>
 
+#include "policies/selection.hpp"
 #include "sim/policy.hpp"
 
 namespace apt::core {
@@ -80,6 +81,8 @@ class Apt : public sim::Policy {
   /// the spec is fixed per run, so the bisection runs once. Reset by
   /// prepare(), filled lazily from the first on_event's context.
   mutable std::optional<double> quantile_mult_;
+
+  policies::RowCursorHeap row_cursors_;  ///< reused by every pass
 };
 
 }  // namespace apt::core

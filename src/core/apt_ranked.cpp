@@ -29,9 +29,10 @@ void AptRanked::on_event(sim::SchedulerContext& ctx) {
   // Every branch below acts only through an idle processor, and
   // assignments only consume them: with none idle the pass is a no-op.
   if (ctx.idle_processors().empty()) return;
-  // Serve the ready set highest-upward-rank first (ties: lower id, which
-  // std::stable_sort preserves from the FIFO order).
-  std::vector<dag::NodeId> ready = ctx.ready_set().snapshot();
+  // Serve the ready set highest-upward-rank first (ties: FIFO order, which
+  // std::stable_sort preserves). The only built-in policy that needs I
+  // materialised, so a profiled run counts its passes as ready_compactions.
+  std::vector<dag::NodeId> ready = ctx.ready();
   std::stable_sort(ready.begin(), ready.end(),
                    [this](dag::NodeId a, dag::NodeId b) {
                      return rank_.at(a) > rank_.at(b);

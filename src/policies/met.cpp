@@ -14,7 +14,7 @@ void Met::on_event(sim::SchedulerContext& ctx) {
   // waits as a whole and a live row hands its kernels over head first.
   std::optional<sim::ProcId> pmin;  // the live row's idle p_min
   for_each_ready_by_row(
-      ctx,
+      ctx, row_cursors_,
       [&](sim::ReadySet::RowId row) {
         pmin = idle_optimal_proc_for_row(ctx, row);
         return pmin.has_value();

@@ -8,6 +8,7 @@
 // which makes the APT-vs-MET comparison exact.
 #pragma once
 
+#include "policies/selection.hpp"
 #include "sim/policy.hpp"
 
 namespace apt::policies {
@@ -17,6 +18,9 @@ class Met final : public sim::Policy {
   std::string name() const override { return "MET"; }
   bool is_dynamic() const override { return true; }
   void on_event(sim::SchedulerContext& ctx) override;
+
+ private:
+  RowCursorHeap row_cursors_;  ///< reused by every pass
 };
 
 }  // namespace apt::policies

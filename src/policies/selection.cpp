@@ -13,14 +13,7 @@ sim::ProcId min_exec_proc(const sim::SchedulerContext& ctx, dag::NodeId node) {
 
 std::optional<sim::ProcId> idle_optimal_proc(const sim::SchedulerContext& ctx,
                                              dag::NodeId node) {
-  // idle_processors() is the idle subset ascending by id, so scanning it is
-  // equivalent to the historical all-processors scan filtered by is_idle —
-  // same winner, without touching the busy majority.
-  const sim::TimeMs best = ctx.min_exec_time_ms(node);
-  for (const sim::ProcId p : ctx.idle_processors()) {
-    if (ctx.exec_time_ms(node, p) == best) return p;
-  }
-  return std::nullopt;
+  return idle_optimal_proc_for_row(ctx, ctx.ready_set().row_of(node));
 }
 
 std::optional<sim::ProcId> idle_optimal_proc_for_row(
@@ -28,6 +21,8 @@ std::optional<sim::ProcId> idle_optimal_proc_for_row(
   const sim::ReadySet& ready = ctx.ready_set();
   const sim::TimeMs* exec = ready.exec_row(row);
   const sim::TimeMs best = ready.min_exec(row);
+  // idle_processors() is the idle subset ascending by id: the lowest idle
+  // processor attaining the minimum, without touching the busy majority.
   for (const sim::ProcId p : ctx.idle_processors()) {
     if (exec[p] == best) return p;
   }

@@ -35,6 +35,10 @@ std::optional<sim::ProcId> idle_min_exec_proc(const sim::SchedulerContext& ctx,
 std::optional<sim::ProcId> idle_optimal_proc_for_row(
     const sim::SchedulerContext& ctx, sim::ReadySet::RowId row);
 
+/// Cursor heap of for_each_ready_by_row. A policy keeps one per instance
+/// and passes it to every pass, so a warm pass allocates nothing.
+using RowCursorHeap = std::vector<std::pair<std::uint64_t, dag::NodeId>>;
+
 /// Visits the ready kernels in FIFO order, as a plain front-to-back scan
 /// would, but skips whole cost rows that cannot act. Each row's next kernel
 /// is visited only after `row_live(row)` re-checks the row against the
@@ -44,32 +48,18 @@ std::optional<sim::ProcId> idle_optimal_proc_for_row(
 /// pass (commitments consume processors, nothing frees one). `visit(node)`
 /// may assign or enqueue `node` itself. The pass ends when the idle set
 /// empties or every row is exhausted: O((rows + visits) log rows) through
-/// a heap of per-row cursors. When the rows are shallow (|I| <= 2·rows)
-/// there is nothing to skip, and a plain FIFO walk asking `row_live` per
-/// kernel visits the same kernels in the same order more cheaply.
+/// a min-heap of per-row cursors keyed by sequence number.
 template <class RowLive, class Visit>
-void for_each_ready_by_row(sim::SchedulerContext& ctx, RowLive&& row_live,
-                           Visit&& visit) {
+void for_each_ready_by_row(sim::SchedulerContext& ctx, RowCursorHeap& heap,
+                           RowLive&& row_live, Visit&& visit) {
   const sim::ReadySet& ready = ctx.ready_set();
-  if (ready.size() <= 2 * ready.active_rows().size()) {
-    for (dag::NodeId node = ready.front();
-         node != dag::kInvalidNode && !ctx.idle_processors().empty();) {
-      const dag::NodeId next = ready.next(node);  // before visit unlinks
-      if (row_live(ready.row_of(node))) visit(node);
-      node = next;
-    }
-    return;
-  }
-  // Min-heap of (sequence number, node) over one cursor per row: the
-  // smallest sequence number is the earliest-arrived unvisited kernel.
-  using Cursor = std::pair<std::uint64_t, dag::NodeId>;
-  std::vector<Cursor> heap;
-  heap.reserve(ready.active_rows().size());
+  // The smallest sequence number is the earliest-arrived unvisited kernel.
+  heap.clear();
   for (const sim::ReadySet::RowId row : ready.active_rows()) {
     const dag::NodeId head = ready.row_front(row);
     heap.emplace_back(ready.seq(head), head);
   }
-  const auto later = [](const Cursor& a, const Cursor& b) {
+  const auto later = [](const auto& a, const auto& b) {
     return a.first > b.first;
   };
   std::make_heap(heap.begin(), heap.end(), later);

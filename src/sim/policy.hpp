@@ -52,8 +52,8 @@ class SchedulerContext {
   virtual const ReadySet& ready_set() const = 0;
 
   /// The set I materialised as a FIFO vector, O(|I|) per call: for tests
-  /// and one-off inspection, never a policy's hot path (a profiled run
-  /// counts each call as ready_compactions).
+  /// and for a policy that must reorder all of I (APT-ranked). A profiled
+  /// run counts each call as ready_compactions.
   virtual std::vector<dag::NodeId> ready() const = 0;
 
   /// True when the processor is neither executing nor holding queued work:

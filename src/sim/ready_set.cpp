@@ -57,13 +57,4 @@ ReadySet::RowId ReadySet::intern_row(const TimeMs* exec) {
   return id;
 }
 
-std::vector<dag::NodeId> ReadySet::snapshot() const {
-  std::vector<dag::NodeId> out;
-  out.reserve(size_);
-  for (dag::NodeId s = fifo_.head; s != dag::kInvalidNode;
-       s = fifo_links_[s].next)
-    out.push_back(s);
-  return out;
-}
-
 }  // namespace apt::sim

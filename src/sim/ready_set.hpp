@@ -11,8 +11,7 @@
 // threshold on exec time alone, are facts of the row, not of the kernel.
 // Policies merge the per-row lists by sequence number to visit kernels in
 // the exact FIFO order a plain scan would, skipping rows that cannot act
-// (see policies::for_each_ready_by_row, which walks the FIFO list itself
-// when the rows are shallow).
+// (see policies::for_each_ready_by_row).
 //
 // Insert and erase are O(1); every accessor below is inline and
 // non-virtual. Per-slot arrays are indexed by the engine's global slot id
@@ -114,9 +113,6 @@ class ReadySet {
   dag::NodeId row_next(dag::NodeId slot) const {
     return row_links_[slot].next;
   }
-
-  /// The ready slots in FIFO order, materialised (O(size)).
-  std::vector<dag::NodeId> snapshot() const;
 
  private:
   /// One doubly linked list threaded through a per-slot Links array.

@@ -179,7 +179,12 @@ class Context final : public sim::SchedulerContext {
 
   std::vector<dag::NodeId> ready() const override {
     if (profile_) profile_->add(obs::Counter::kReadyCompactions);
-    return ready_.snapshot();
+    std::vector<dag::NodeId> fifo;
+    fifo.reserve(ready_.size());
+    for (dag::NodeId s = ready_.front(); s != dag::kInvalidNode;
+         s = ready_.next(s))
+      fifo.push_back(s);
+    return fifo;
   }
 
   bool is_idle(sim::ProcId proc) const override {

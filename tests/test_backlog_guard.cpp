@@ -11,33 +11,56 @@
 #include "obs/profile.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/cost_model.hpp"
+#include "sim/engine.hpp"
 #include "stream/stream_engine.hpp"
 
 namespace apt {
 namespace {
 
-TEST(BacklogGuard, BurstPoliciesTakeNoReadySnapshots) {
+/// Runs a profiled `type1` burst of `apps` apps under `spec`.
+obs::Profile run_burst(const char* spec, std::size_t apps) {
   const dag::KernelPool pool = dag::KernelPool::paper_pool();
   const sim::System system(sim::SystemConfig::paper_default(4.0));
   const sim::LutCostModel cost(lut::paper_lookup_table(), system);
+  obs::Profile profile;
+  stream::StreamOptions opts;
+  opts.arrivals = stream::ArrivalSpec::poisson(0.005, 1);
+  opts.max_apps = apps;
+  opts.profile = &profile;
+  stream::StreamEngine engine(
+      system, cost,
+      [&](std::size_t i) {
+        return scenario::generate("type1", 46, 100 + i % 8, pool);
+      },
+      opts);
+  const auto policy = core::make_policy(spec);
+  const stream::StreamOutcome outcome = engine.run(*policy);
+  EXPECT_EQ(outcome.metrics.apps_completed, apps) << spec;
+  return profile;
+}
+
+TEST(BacklogGuard, BurstPoliciesTakeNoReadySnapshots) {
   for (const char* spec : {"apt:4", "met", "spn", "ag"}) {
-    obs::Profile profile;
-    stream::StreamOptions opts;
-    opts.arrivals = stream::ArrivalSpec::poisson(0.005, 1);
-    opts.max_apps = 480;
-    opts.profile = &profile;
-    stream::StreamEngine engine(
-        system, cost,
-        [&](std::size_t i) {
-          return scenario::generate("type1", 46, 100 + i % 8, pool);
-        },
-        opts);
-    const auto policy = core::make_policy(spec);
-    const stream::StreamOutcome outcome = engine.run(*policy);
-    EXPECT_EQ(outcome.metrics.apps_completed, 480u) << spec;
+    const obs::Profile profile = run_burst(spec, 480);
     EXPECT_GT(profile.count(obs::Counter::kPolicyPasses), 480u) << spec;
     EXPECT_EQ(profile.count(obs::Counter::kReadyCompactions), 0u) << spec;
   }
+}
+
+// The guard above is only as good as the counter: APT-ranked (a closed-
+// system policy) re-sorts all of I and so must take its snapshot through
+// the counted ready().
+TEST(BacklogGuard, ReadySnapshotsAreCounted) {
+  const dag::Dag graph = dag::paper_graph(dag::DfgType::Type1, 0);
+  const sim::System system(sim::SystemConfig::paper_default(4.0));
+  const sim::LutCostModel cost(lut::paper_lookup_table(), system);
+  obs::Profile profile;
+  sim::EngineOptions opts;
+  opts.profile = &profile;
+  sim::Engine engine(graph, system, cost, opts);
+  const auto policy = core::make_policy("apt-ranked:4");
+  engine.run(*policy);
+  EXPECT_GT(profile.count(obs::Counter::kReadyCompactions), 0u);
 }
 
 }  // namespace

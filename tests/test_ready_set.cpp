@@ -92,7 +92,6 @@ TEST(ReadySet, KeepsFifoOrderAcrossRows) {
   t.ready(7, t.a);
   t.ready(0, t.b);
   EXPECT_EQ(fifo_walk(t.rs), (std::vector<dag::NodeId>{5, 2, 7, 0}));
-  EXPECT_EQ(t.rs.snapshot(), fifo_walk(t.rs));
   EXPECT_EQ(row_walk(t.rs, t.a), (std::vector<dag::NodeId>{5, 7}));
   EXPECT_EQ(row_walk(t.rs, t.b), (std::vector<dag::NodeId>{2, 0}));
   EXPECT_LT(t.rs.seq(5), t.rs.seq(2));
