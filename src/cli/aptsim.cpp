@@ -1,14 +1,5 @@
 // aptsim — command-line front end for the APT scheduling library.
-//
-//   aptsim generate --type 1|2 --kernels N --seed S [--out FILE] [--dot FILE]
-//   aptsim run --policy SPEC [--graph FILE | --type T --kernels N --seed S]
-//              [--rate GBPS] [--trace] [--csv FILE]
-//   aptsim compare [--type T] [--alpha A] [--rate GBPS]
-//   aptsim sweep [--type T] [--policies SPEC,...] [--alphas A,...]
-//                [--rates 4,8] [--jobs N] [--reps R] [--seed S]
-//                [--csv FILE] [--json FILE]
-//   aptsim lut [--csv FILE]
-//   aptsim policies
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -16,6 +7,7 @@
 #include <iostream>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -45,93 +37,257 @@ namespace {
 
 using namespace apt;
 
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> options;
-  bool help = false;  ///< --help / -h anywhere on the line
+/// One command-line flag. An empty metavar marks a boolean flag; a null
+/// default marks a flag whose absence means something (see Args::has).
+struct Flag {
+  const char* name;
+  const char* metavar;
+  const char* fallback;
+  const char* help;
+};
 
-  bool has(const std::string& key) const { return options.count(key) != 0; }
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
+/// Flags declared once for all the subcommands that take them.
+struct FlagGroup {
+  const char* commands;  ///< space-separated subcommand names, or "*"
+  std::vector<Flag> flags;
+};
+
+// The flag table: every flag's name, default and help, written once. It
+// drives the parser, the defaults the handlers read and each subcommand's
+// --help (flags listed in table order).
+const FlagGroup kFlagTable[] = {
+    {"run", {{"policy", "SPEC", "apt:4", "see `aptsim policies`"}}},
+    {"gen run",
+     {{"graph", "F", nullptr, "load a saved graph instead of generating one"},
+      {"family", "NAME", nullptr, "scenario family (see `aptsim families`)"},
+      {"kernels", "N", "46", "kernel count"},
+      {"seed", "S", "1", "graph seed"},
+      {"arrivals", "MEAN_MS", nullptr, "Poisson entry-kernel arrivals"}}},
+    {"gen run sweep compare", {{"type", "1|2", "1", "paper DFG type"}}},
+    {"gen run compare", {{"rate", "GBPS", "4", "link rate"}}},
+    {"compare report", {{"alpha", "A", "4", "APT threshold factor"}}},
+    {"run",
+     {{"trace", "", nullptr, "print the per-kernel trace"},
+      {"gantt", "", nullptr, "print an ASCII Gantt chart"},
+      {"analyze", "", nullptr, "print the schedule analysis"},
+      {"csv", "F", nullptr, "write the schedule as CSV"}}},
+    {"gen",
+     {{"out", "F", nullptr, "save the graph (default: print it)"},
+      {"dot", "F", nullptr, "write the graph as Graphviz DOT"},
+      {"lut-out", "F", nullptr, "save the costing table as CSV"}}},
+    {"sweep",
+     {{"family", "NAME[,...]", nullptr, "scenario families, else --type"},
+      {"graphs", "G", "10", "graphs per family"},
+      {"kernels", "N[,...]", "46", "kernel counts per family"},
+      {"policies", "SPEC[,...]", nullptr, "policy columns"},
+      {"alphas", "A[,...]", "1.5,2,4,8,16", "APT columns (unless --policies)"},
+      {"rates", "GBPS[,...]", "4,8", "link rates"},
+      {"reps", "R", "1", "replications"},
+      {"seed", "S", "0", "base seed"}}},
+    {"stream",
+     {{"family", "NAME[,...]", "type1", "scenario families"},
+      {"rate", "L[,...]", "0.01", "arrival rates (apps/ms)"},
+      {"policies", "SPEC[,...]", "apt:4,met,spn,ag", "dynamic policies"},
+      {"kernels", "N", "46", "kernels per instance"},
+      {"arrival", "KIND", "poisson", "poisson|deterministic|trace"},
+      {"trace-file", "F", nullptr, "arrival instants (ms), one a line"},
+      {"duration", "MS", "60000", "admission horizon"},
+      {"warmup", "MS", nullptr, "unmeasured prefix (default: duration/10)"},
+      {"max-apps", "N", "0", "admission cap, 0 = none"},
+      {"seed", "S", "0", "base seed"},
+      {"link-rate", "GBPS", "4", "link rate"},
+      {"noise-sigma", "S", "0", "lognormal service-time noise"},
+      {"tail-prob", "P[,...]", "0", "heavy-tail probabilities"},
+      {"tail-mult", "M", "20", "heavy-tail multiplier"},
+      {"noise-seed", "S", "0", "noise seed"},
+      {"hedging", "MODE", "off", "on|off|both"},
+      {"hedge-quantile", "Q", "0.95", "hedge threshold quantile"},
+      {"hedge-factor", "F", "1.5", "hedge threshold factor"}}},
+    {"gen run stream",
+     {{"lut", "F.csv", nullptr, "cost against a saved lookup table"}}},
+    {"gen run sweep stream",
+     {{"ccr", "X", "0.5", "synthetic platform: transfer/compute ratio"},
+      {"hetero", "H", "4", "synthetic platform: slowest/fastest ratio"},
+      {"lut-seed", "S", "1", "synthetic platform: sample seed"}}},
+    {"run sweep stream",
+     {{"topology", "KIND[,...]", "ideal",
+       "ideal|bus|crossbar|hier[:S]|ring[:N]|mesh:RxC|fattree[:K]"},
+      {"bandwidth", "GBPS", "0", "link bandwidth, 0 = the link rate"},
+      {"latency", "MS", "0", "per-message link latency"}}},
+    {"sweep stream",
+     {{"jobs", "N", "1", "worker threads, 0 = all cores; same output"},
+      {"csv", "F", nullptr, "write every cell as CSV"},
+      {"json", "F", nullptr, "write every cell as JSON"}}},
+    {"run stream",
+     {{"trace-out", "F.json", nullptr, "write a Perfetto timeline; inert"},
+      {"trace-max-events", "N", "1048576", "trace event cap"},
+      {"trace-every", "K", "1", "keep every K-th span per category"},
+      {"profile", "", nullptr, "print hot-path counters/timers; inert"}}},
+    {"lut", {{"csv", "F", nullptr, "save the table as CSV instead"}}},
+    {"report", {{"out-dir", "D", "report", "output directory"}}},
+    {"*",
+     {{"log-level", "LEVEL", "info", "debug|info|warn|error|off"},
+      {"help", "", nullptr, "print this help (also -h)"}}},
+};
+
+/// The flags `command` takes, in table order (the "*" group's included).
+std::vector<const Flag*> flags_of(const std::string& command) {
+  std::vector<const Flag*> out;
+  for (const FlagGroup& group : kFlagTable) {
+    const std::string commands = std::string(" ") + group.commands + " ";
+    if (commands == " * " ||
+        commands.find(" " + command + " ") != commands.npos)
+      for (const Flag& flag : group.flags) out.push_back(&flag);
   }
+  return out;
+}
+
+/// " (did you mean X?)" for a typo of one of `candidates`, else "".
+std::string did_you_mean(const std::string& word,
+                         const std::vector<std::string>& candidates) {
+  const std::size_t i = util::closest_match(word, candidates);
+  return i < candidates.size() ? " (did you mean " + candidates[i] + "?)" : "";
+}
+
+/// One subcommand's flags, read through the table: getters fall back to
+/// the table default, and reading a flag the subcommand does not take is a
+/// std::logic_error, which the first test reaching it catches.
+class Args {
+ public:
+  Args(std::string command, std::map<std::string, std::string> given)
+      : command_(std::move(command)), given_(std::move(given)) {}
+
+  /// Whether the flag was on the command line (the test for booleans).
+  bool has(const std::string& name) const {
+    flag(name);
+    return given_.count(name) != 0;
+  }
+  std::string str(const std::string& name) const {
+    const Flag& f = flag(name);
+    if (const auto it = given_.find(name); it != given_.end())
+      return it->second;
+    if (f.fallback == nullptr)
+      throw std::logic_error("--" + name + " has no default; check has()");
+    return f.fallback;
+  }
+  std::uint64_t u64(const std::string& name) const {
+    return parse(name, str(name), util::parse_uint);
+  }
+  double f64(const std::string& name) const {
+    return parse(name, str(name), util::parse_double);
+  }
+  /// Comma lists: tokens trimmed, empty ones dropped, at least one left.
+  std::vector<std::string> list(const std::string& name) const {
+    return list_of(name, util::trim);
+  }
+  std::vector<double> f64_list(const std::string& name) const {
+    return list_of(name, util::parse_double);
+  }
+  std::vector<std::uint64_t> u64_list(const std::string& name) const {
+    return list_of(name, util::parse_uint);
+  }
+
+ private:
+  const Flag& flag(const std::string& name) const {
+    for (const Flag* f : flags_of(command_))
+      if (f->name == name) return *f;
+    throw std::logic_error(command_ + " reads undeclared flag --" + name);
+  }
+  /// `parse(text)`, naming the flag when the text is malformed.
+  template <typename T>
+  static T parse(const std::string& name, const std::string& text,
+                 T (*fn)(const std::string&)) {
+    try {
+      return fn(text);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("--" + name + ": " + e.what());
+    }
+  }
+  template <typename T>
+  std::vector<T> list_of(const std::string& name,
+                         T (*fn)(const std::string&)) const {
+    std::vector<T> out;
+    for (const std::string& token : util::split(str(name), ','))
+      if (!util::trim(token).empty())
+        out.push_back(parse(name, util::trim(token), fn));
+    if (out.empty())
+      throw std::invalid_argument("--" + name + ": no values given");
+    return out;
+  }
+
+  std::string command_;
+  std::map<std::string, std::string> given_;
 };
 
 bool is_help(const std::string& token) {
   return token == "--help" || token == "-h";
 }
 
-Args parse_args(int argc, char** argv) {
-  Args args;
-  if (argc >= 2) args.command = argv[1];
-  args.help = is_help(args.command);
+/// Parses argv[2..] against the table. Unknown and repeated flags, a
+/// missing value and a value after a boolean flag are errors.
+Args parse_flags(const std::string& command, int argc, char** argv) {
+  const std::vector<const Flag*> accepted = flags_of(command);
+  std::vector<std::string> names;  // "--name" of each accepted flag
+  for (const Flag* f : accepted) names.push_back(std::string("--") + f->name);
+  std::map<std::string, std::string> given;
+  const Flag* flag = nullptr;  // the previous flag
   for (int i = 2; i < argc; ++i) {
-    std::string token = argv[i];
-    if (is_help(token)) {
-      args.help = true;
-      continue;
-    }
-    if (!util::starts_with(token, "--")) {
-      throw std::invalid_argument("expected --option, got '" + token + "'");
-    }
-    const std::string key = token.substr(2);
-    // Flags without values.
-    if (key == "trace" || key == "gantt" || key == "analyze" ||
-        key == "profile") {
-      args.options[key] = "1";
-      continue;
-    }
-    if (i + 1 >= argc)
-      throw std::invalid_argument("option --" + key + " needs a value");
-    args.options[key] = argv[++i];
+    const std::string token = argv[i];
+    if (!util::starts_with(token, "--"))
+      throw std::invalid_argument(
+          flag != nullptr && *flag->metavar == '\0'
+              ? std::string("--") + flag->name + " takes no value, got '" +
+                    token + "'"
+              : "expected --option, got '" + token + "'");
+    const auto it = std::find(names.begin(), names.end(), token);
+    if (it == names.end())
+      throw std::invalid_argument("unknown option " + token + " for '" +
+                                  command + "'" + did_you_mean(token, names));
+    flag = accepted[it - names.begin()];
+    if (given.count(flag->name) != 0)
+      throw std::invalid_argument(token + " given more than once");
+    if (*flag->metavar == '\0')
+      given[flag->name];
+    else if (i + 1 < argc && !util::starts_with(argv[i + 1], "--"))
+      given[flag->name] = argv[++i];
+    else
+      throw std::invalid_argument(token + " needs a value (" + flag->metavar +
+                                  ")");
   }
-  return args;
+  return Args(command, std::move(given));
 }
 
-/// The interconnect described by --topology/--bandwidth/--latency (see
-/// src/net): ideal (default, uncontended), bus, crossbar, hier[:S], or the
-/// routed kinds ring[:N], mesh:RxC, fattree[:K] whose transfers occupy a
-/// multi-hop path. --bandwidth 0 (the default) tracks the link rate, so
-/// --rates sweeps the fabric too. Unknown kinds and malformed shapes
-/// (mesh:3x, fattree:0) throw and surface as a CLI error.
-net::TopologySpec topology_from_args(const Args& args) {
-  net::TopologySpec spec =
-      net::parse_topology_spec(args.get("topology", "ideal"));
-  spec.bandwidth_gbps = util::parse_double(args.get("bandwidth", "0"));
-  spec.latency_ms = util::parse_double(args.get("latency", "0"));
-  spec.validate();
-  return spec;
+/// --type, the paper DFG type: one check for every subcommand taking it.
+dag::DfgType dfg_type_from_args(const Args& args) {
+  const std::uint64_t type = args.u64("type");
+  if (type != 1 && type != 2)
+    throw std::invalid_argument("--type must be 1 or 2");
+  return type == 1 ? dag::DfgType::Type1 : dag::DfgType::Type2;
 }
 
-/// Sweep form of --topology: a comma list ("ideal,ring,mesh:2x2") becomes
-/// the plan's topology axis; --bandwidth/--latency apply to every entry.
-/// Always returns at least one spec (default ideal).
+/// The fabrics of --topology (a list: the topology axis of sweep/stream),
+/// each with --bandwidth/--latency. Malformed shapes (mesh:3x) throw.
 std::vector<net::TopologySpec> topologies_from_args(const Args& args) {
   std::vector<net::TopologySpec> specs;
-  for (const auto& token : util::split(args.get("topology", "ideal"), ',')) {
-    if (util::trim(token).empty()) continue;
-    net::TopologySpec spec = net::parse_topology_spec(util::trim(token));
-    spec.bandwidth_gbps = util::parse_double(args.get("bandwidth", "0"));
-    spec.latency_ms = util::parse_double(args.get("latency", "0"));
+  for (const std::string& token : args.list("topology")) {
+    net::TopologySpec spec = net::parse_topology_spec(token);
+    spec.bandwidth_gbps = args.f64("bandwidth");
+    spec.latency_ms = args.f64("latency");
     spec.validate();
     specs.push_back(spec);
   }
-  if (specs.empty())
-    throw std::invalid_argument("--topology: no topologies given");
   return specs;
 }
 
-/// The synthetic platform described by --ccr / --hetero / --lut-seed,
-/// calibrated against the first of `rates_gbps`. The one parse both `gen`
-/// and `sweep` (and `run`) share, so identical flags always mean an
-/// identical platform.
-lut::SyntheticLutSpec synthetic_spec_from_args(
-    const Args& args, const std::vector<double>& rates) {
+/// The synthetic platform of --ccr/--hetero/--lut-seed: one parse for all
+/// subcommands, so identical flags always mean an identical platform.
+lut::SyntheticLutSpec synthetic_spec_from_args(const Args& args,
+                                               double link_rate_gbps) {
   lut::SyntheticLutSpec spec;
-  spec.ccr = util::parse_double(args.get("ccr", "0.5"));
-  spec.heterogeneity = util::parse_double(args.get("hetero", "4"));
-  spec.seed = util::parse_uint(args.get("lut-seed", "1"));
-  if (!rates.empty()) spec.link_rate_gbps = rates.front();
+  spec.ccr = args.f64("ccr");
+  spec.heterogeneity = args.f64("hetero");
+  spec.seed = args.u64("lut-seed");
+  spec.link_rate_gbps = link_rate_gbps;
   return spec;
 }
 
@@ -139,87 +295,120 @@ bool wants_synthetic_platform(const Args& args) {
   return args.has("ccr") || args.has("hetero") || args.has("lut-seed");
 }
 
-/// The lookup table a command costs against: an explicit --lut CSV, the
-/// synthetic platform flags, or (default) the paper's measured table.
-/// Mixing the two explicit forms is ambiguous and rejected rather than
-/// silently resolved.
-lut::LookupTable table_from_args(const Args& args,
-                                 const std::vector<double>& rates) {
+/// The costing table: --lut, the synthetic platform flags, or (default)
+/// the paper's measured table. Mixing the two explicit forms is rejected.
+lut::LookupTable table_from_args(const Args& args, double link_rate_gbps) {
   if (args.has("lut")) {
     if (wants_synthetic_platform(args))
       throw std::invalid_argument(
           "--lut conflicts with --ccr/--hetero/--lut-seed: pass either a "
           "saved table or the synthetic platform knobs, not both");
-    return lut::LookupTable::from_csv_file(args.get("lut", ""));
+    return lut::LookupTable::from_csv_file(args.str("lut"));
   }
   if (wants_synthetic_platform(args))
-    return lut::synthetic_lookup_table(synthetic_spec_from_args(args, rates));
+    return lut::synthetic_lookup_table(
+        synthetic_spec_from_args(args, link_rate_gbps));
   return lut::paper_lookup_table();
 }
 
 dag::Dag graph_from_args(const Args& args, const dag::KernelPool& pool) {
   dag::Dag graph = [&] {
-    if (args.has("graph")) return dag::load_text_file(args.get("graph", ""));
-    const std::size_t n =
-        static_cast<std::size_t>(util::parse_uint(args.get("kernels", "46")));
-    const std::uint64_t seed = util::parse_uint(args.get("seed", "1"));
-    if (args.has("family")) {
-      return scenario::generate(args.get("family", ""), n, seed, pool);
-    }
-    const int type = static_cast<int>(util::parse_int(args.get("type", "1")));
-    if (type != 1 && type != 2)
-      throw std::invalid_argument("--type must be 1 or 2");
-    const auto dfg = type == 1 ? dag::DfgType::Type1 : dag::DfgType::Type2;
-    return dag::generate(dfg, n, seed, pool);
+    if (args.has("graph")) return dag::load_text_file(args.str("graph"));
+    const auto n = static_cast<std::size_t>(args.u64("kernels"));
+    const std::uint64_t seed = args.u64("seed");
+    if (args.has("family"))
+      return scenario::generate(args.str("family"), n, seed, pool);
+    return dag::generate(dfg_type_from_args(args), n, seed, pool);
   }();
-  if (args.has("arrivals")) {
-    // --arrivals <mean-gap-ms>: stream the entry kernels in with Poisson
-    // inter-arrival gaps instead of submitting everything at time zero.
-    dag::apply_poisson_arrivals(graph,
-                                util::parse_double(args.get("arrivals", "")),
-                                util::parse_uint(args.get("seed", "1")));
-  }
+  if (args.has("arrivals"))
+    dag::apply_poisson_arrivals(graph, args.f64("arrivals"), args.u64("seed"));
   return graph;
 }
 
-/// --trace-out writer knobs shared by `run` and `stream`: an event cap and
-/// a per-category decimation stride (metadata is always kept, so tracks
-/// stay named even when spans are dropped).
+/// --trace-out's event cap and per-category decimation stride (metadata is
+/// always kept, so tracks stay named even when spans are dropped).
 obs::ChromeTraceWriter::Options trace_options_from_args(const Args& args) {
   obs::ChromeTraceWriter::Options opt;
-  opt.max_events = static_cast<std::size_t>(
-      util::parse_uint(args.get("trace-max-events", "1048576")));
+  opt.max_events = static_cast<std::size_t>(args.u64("trace-max-events"));
   opt.every = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             util::parse_uint(args.get("trace-every", "1"))));
+      1, static_cast<std::size_t>(args.u64("trace-every")));
   return opt;
 }
 
-/// Serialises a profiling snapshot as `{"counters": {...}, "timers":
-/// {...}}` — the object the stream JSON exporter places next to
-/// "tm_solver".
-std::string profile_to_json(const obs::ProfileSnapshot& p) {
-  std::string out = "{\"counters\": {";
-  for (std::size_t i = 0; i < p.counters.size(); ++i) {
-    if (i) out += ", ";
-    out += "\"" + util::json_escape(p.counters[i].name) +
-           "\": " + std::to_string(p.counters[i].count);
-  }
-  out += "}, \"timers\": {";
-  for (std::size_t i = 0; i < p.timers.size(); ++i) {
-    if (i) out += ", ";
-    const auto& t = p.timers[i];
-    out += "\"" + util::json_escape(t.name) +
-           "\": {\"count\": " + std::to_string(t.count) +
-           ", \"total_ms\": " + util::format_double(t.total_ms, 3) +
-           ", \"max_ms\": " + util::format_double(t.max_ms, 3) + "}";
-  }
-  out += "}}";
-  return out;
+/// Milliseconds of wall-clock time since `t0`.
+double ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
 }
 
-/// Prints a profiling snapshot as one stdout table (counters first, then
-/// timers with their accumulated wall-clock time).
+/// One output row as (column, value) pairs: tables take their header from
+/// the first row, so each column is named once, next to its value.
+using Record = std::vector<std::pair<std::string, std::string>>;
+
+/// A util::TablePrinter or util::CsvTable of `rows` (at least one).
+template <typename Table>
+Table tabulate(const std::vector<Record>& rows) {
+  std::vector<std::string> header;
+  for (const auto& field : rows.at(0)) header.push_back(field.first);
+  Table table(header);
+  for (const Record& row : rows) {
+    std::vector<std::string> values;
+    for (const auto& field : row) values.push_back(field.second);
+    table.add_row(values);
+  }
+  return table;
+}
+
+/// A JSON string literal.
+std::string json_str(const std::string& s) {
+  return "\"" + util::json_escape(s) + "\"";
+}
+
+/// The exporters' fixed six decimals.
+std::string f6(double value) { return util::format_double(value, 6); }
+
+/// `{"key": value, ...}` over values that are already JSON (see json_str()).
+std::string json_object(const Record& fields) {
+  std::string out;
+  for (const auto& [key, value] : fields)
+    out += (out.empty() ? "{" : ", ") + json_str(key) + ": " + value;
+  return out.empty() ? "{}" : out + "}";
+}
+
+/// Prints one `label  text` line per row, the texts aligned.
+void print_rows(const Record& rows) {
+  std::size_t width = 0;
+  for (const auto& row : rows) width = std::max(width, row.first.size());
+  for (const auto& [label, text] : rows)
+    std::cout << "  " << label << std::string(width - label.size() + 2, ' ')
+              << text << "\n";
+}
+
+/// Writes an export file and reports it on stdout.
+void write_export(const std::string& path, const std::string& text,
+                  const std::string& what) {
+  std::ofstream out(path, std::ios::binary);
+  if (!(out << text)) throw std::runtime_error("cannot write '" + path + "'");
+  std::cout << what << " written to " << path << "\n";
+}
+
+/// A profiling snapshot as `{"counters": {...}, "timers": {...}}`.
+std::string profile_to_json(const obs::ProfileSnapshot& p) {
+  Record counters;
+  Record timers;
+  for (const auto& c : p.counters)
+    counters.emplace_back(c.name, std::to_string(c.count));
+  for (const auto& t : p.timers)
+    timers.emplace_back(
+        t.name, json_object({{"count", std::to_string(t.count)},
+                             {"total_ms", util::format_double(t.total_ms, 3)},
+                             {"max_ms", util::format_double(t.max_ms, 3)}}));
+  return json_object(
+      {{"counters", json_object(counters)}, {"timers", json_object(timers)}});
+}
+
+/// A profiling snapshot as one stdout table (counters, then timers).
 void print_profile(const obs::ProfileSnapshot& p, const std::string& title) {
   std::cout << title << "\n";
   if (p.empty()) {
@@ -236,8 +425,7 @@ void print_profile(const obs::ProfileSnapshot& p, const std::string& title) {
   std::cout << table.to_string();
 }
 
-/// Writes a finished trace and reports where it went (and what the cap or
-/// decimation dropped).
+/// Writes a finished trace and reports where it went and what it dropped.
 void finish_trace(const obs::ChromeTraceWriter& tracer,
                   const std::string& path) {
   tracer.write_file(path);
@@ -248,35 +436,28 @@ void finish_trace(const obs::ChromeTraceWriter& tracer,
 }
 
 int cmd_gen(const Args& args) {
-  // Same table derivation as `run` — --lut CSV, the synthetic platform
-  // flags (calibrated at --rate, default 4 GB/s), or the paper table — so
-  // identical flags across `gen` and `run` always mean an identical
-  // platform. The generators sample their kernels from that table's pool;
-  // --lut-out saves it so the graph can be costed later
-  // (`run --graph F --lut T.csv`).
-  const lut::LookupTable table =
-      table_from_args(args, {util::parse_double(args.get("rate", "4"))});
+  // The generators sample their kernels from the costing table's pool;
+  // --lut-out saves it for a later `run --lut`.
+  const lut::LookupTable table = table_from_args(args, args.f64("rate"));
   const dag::Dag graph =
       graph_from_args(args, dag::KernelPool::from_lookup_table(table));
-  // Only after generation succeeded: a failed `gen` must not leave a
-  // platform file behind for scripts to pick up.
+  // Saved only once generation succeeded, so a failed `gen` leaves no
+  // platform file behind; logged, as stdout may carry the graph itself.
   if (args.has("lut-out")) {
-    table.save_csv_file(args.get("lut-out", ""));
-    // Logged (default sink: stderr): stdout may be carrying the serialised
-    // graph, and --log-level off silences the notice for scripts.
-    APT_LOG_INFO << "lookup table written to " << args.get("lut-out", "");
+    table.save_csv_file(args.str("lut-out"));
+    APT_LOG_INFO << "lookup table written to " << args.str("lut-out");
   }
   const std::string label =
       args.has("family")
-          ? std::string(scenario::family(args.get("family", "")).name())
-          : "type" + args.get("type", "1");
+          ? std::string(scenario::family(args.str("family")).name())
+          : "type" + args.str("type");
   if (args.has("dot"))
-    std::ofstream(args.get("dot", "")) << dag::to_dot(graph, label);
+    std::ofstream(args.str("dot")) << dag::to_dot(graph, label);
   if (args.has("out")) {
-    dag::save_text_file(graph, args.get("out", ""));
+    dag::save_text_file(graph, args.str("out"));
     std::cout << label << ": " << graph.node_count() << " kernels, "
               << graph.edge_count() << " edges, depth " << graph.depth()
-              << " -> " << args.get("out", "") << "\n";
+              << " -> " << args.str("out") << "\n";
   } else {
     // Pipe-friendly: bare `gen` emits only the serialised graph.
     std::cout << dag::to_text(graph);
@@ -284,7 +465,7 @@ int cmd_gen(const Args& args) {
   return 0;
 }
 
-int cmd_families() {
+int cmd_families(const Args& /*args*/) {
   util::TablePrinter table({"family", "min kernels", "description"});
   for (const scenario::ScenarioFamily* family : scenario::all_families()) {
     table.add_row({family->name(), std::to_string(family->min_kernels()),
@@ -295,22 +476,22 @@ int cmd_families() {
 }
 
 int cmd_run(const Args& args) {
-  const double rate = util::parse_double(args.get("rate", "4"));
-  // Costing table: --lut CSV (e.g. one saved by `gen --lut-out`), the
-  // synthetic platform flags, or the paper's measured table. The same table
-  // feeds the generator's kernel pool so --family graphs are costable.
-  const lut::LookupTable table = table_from_args(args, {rate});
+  const double rate = args.f64("rate");
+  // The costing table also feeds the generators' kernel pool.
+  const lut::LookupTable table = table_from_args(args, rate);
   const dag::Dag graph =
       graph_from_args(args, dag::KernelPool::from_lookup_table(table));
-  const std::string spec = args.get("policy", "apt:4");
   sim::SystemConfig config = sim::SystemConfig::paper_default(rate);
-  config.topology = topology_from_args(args);
+  const std::vector<net::TopologySpec> topologies = topologies_from_args(args);
+  if (topologies.size() != 1)
+    throw std::invalid_argument("run: --topology takes one fabric");
+  config.topology = topologies.front();
   const sim::System system(config);
-  const auto policy = core::make_policy(spec);
+  const auto policy = core::make_policy(args.str("policy"));
   const sim::LutCostModel cost(table, system);
 
-  // Observability taps (src/obs): both inert — attaching them cannot
-  // change a simulated bit, so a traced run reproduces an untraced one.
+  // Observability taps (src/obs): inert, so a traced run reproduces an
+  // untraced one bit for bit.
   sim::EngineOptions engine_options;
   obs::Profile profile;
   std::optional<obs::ChromeTraceWriter> tracer;
@@ -323,44 +504,34 @@ int cmd_run(const Args& args) {
   const auto outcome =
       core::run_policy(*policy, graph, system, cost, engine_options);
 
+  const auto& m = outcome.metrics;
   std::cout << "policy:    " << outcome.policy_name << "\n";
   std::cout << "topology:  " << system.topology().spec().label() << "\n";
   std::cout << "kernels:   " << graph.node_count() << "\n";
-  std::cout << "makespan:  " << util::format_double(outcome.metrics.makespan, 3)
-            << " ms\n";
-  std::cout << "lambda:    total "
-            << util::format_double(outcome.metrics.lambda.total_ms, 3)
-            << " ms, avg "
-            << util::format_double(outcome.metrics.lambda.avg_ms, 3)
-            << " ms, stddev "
-            << util::format_double(outcome.metrics.lambda.stddev_ms, 3)
-            << " ms over " << outcome.metrics.lambda.occurrences
-            << " occurrences\n";
-  for (const auto& proc : outcome.metrics.per_proc) {
+  std::cout << "makespan:  " << util::format_double(m.makespan, 3) << " ms\n";
+  std::cout << "lambda:    total " << util::format_double(m.lambda.total_ms, 3)
+            << " ms, avg " << util::format_double(m.lambda.avg_ms, 3)
+            << " ms, stddev " << util::format_double(m.lambda.stddev_ms, 3)
+            << " ms over " << m.lambda.occurrences << " occurrences\n";
+  for (const auto& proc : m.per_proc) {
     std::cout << "  " << proc.name << ": compute "
               << util::format_double(proc.compute_ms, 3) << " ms, transfer "
               << util::format_double(proc.transfer_ms, 3) << " ms, idle "
               << util::format_double(proc.idle_ms, 3) << " ms ("
               << proc.kernel_count << " kernels)\n";
   }
-  if (outcome.metrics.alternative_count > 0) {
-    std::cout << "alternative assignments: "
-              << outcome.metrics.alternative_count << "\n";
-    for (const auto& [kernel, count] :
-         outcome.metrics.alternative_by_kernel)
+  if (m.alternative_count > 0) {
+    std::cout << "alternative assignments: " << m.alternative_count << "\n";
+    for (const auto& [kernel, count] : m.alternative_by_kernel)
       std::cout << "  " << count << "-" << kernel << "\n";
   }
-  std::cout << "energy:    "
-            << util::format_double(outcome.metrics.total_energy_j, 1)
+  std::cout << "energy:    " << util::format_double(m.total_energy_j, 1)
             << " J\n";
-  if (!outcome.metrics.per_link.empty()) {
-    std::cout << "comm:      busy "
-              << util::format_double(outcome.metrics.comm_busy_ms, 3)
+  if (!m.per_link.empty()) {
+    std::cout << "comm:      busy " << util::format_double(m.comm_busy_ms, 3)
               << " ms, overlap with compute "
-              << util::format_double(outcome.metrics.comm_compute_overlap_ms,
-                                     3)
-              << " ms\n";
-    for (const auto& link : outcome.metrics.per_link) {
+              << util::format_double(m.comm_compute_overlap_ms, 3) << " ms\n";
+    for (const auto& link : m.per_link) {
       std::cout << "  link " << link.name << ": busy "
                 << util::format_double(link.busy_ms, 3) << " ms ("
                 << util::format_double(link.utilization * 100.0, 1) << "%), "
@@ -372,21 +543,17 @@ int cmd_run(const Args& args) {
       std::cout << "\n";
     }
   }
-  if (args.has("trace")) {
+  if (args.has("trace"))
     std::cout << "\n"
-              << sim::format_trace(system,
-                                   sim::build_trace(graph, system,
-                                                    outcome.result));
-  }
-  if (args.has("gantt")) {
+              << sim::format_trace(
+                     system, sim::build_trace(graph, system, outcome.result));
+  if (args.has("gantt"))
     std::cout << "\n" << sim::ascii_gantt(graph, system, outcome.result);
-  }
-  if (args.has("analyze")) {
+  if (args.has("analyze"))
     std::cout << "\n"
-              << sim::format_analysis(sim::analyze_schedule(
-                     graph, system, cost, outcome.result));
-  }
-  if (tracer) finish_trace(*tracer, args.get("trace-out", ""));
+              << sim::format_analysis(sim::analyze_schedule(graph, system, cost,
+                                                            outcome.result));
+  if (tracer) finish_trace(*tracer, args.str("trace-out"));
   if (args.has("profile"))
     print_profile(profile.snapshot(), "profile (hot-path counters/timers):");
   if (args.has("csv")) {
@@ -396,24 +563,19 @@ int cmd_run(const Args& args) {
     for (const auto& k : outcome.result.schedule) {
       csv.add_row({std::to_string(k.node), graph.node(k.node).kernel,
                    std::to_string(graph.node(k.node).data_size),
-                   system.processor(k.proc).name,
-                   util::format_double(k.ready_time, 6),
-                   util::format_double(k.assign_time, 6),
-                   util::format_double(k.exec_start, 6),
-                   util::format_double(k.finish_time, 6),
+                   system.processor(k.proc).name, f6(k.ready_time),
+                   f6(k.assign_time), f6(k.exec_start), f6(k.finish_time),
                    k.alternative ? "1" : "0"});
     }
-    util::write_csv_file(csv, args.get("csv", ""));
-    std::cout << "schedule written to " << args.get("csv", "") << "\n";
+    write_export(args.str("csv"), util::to_csv_string(csv), "schedule");
   }
   return 0;
 }
 
 int cmd_compare(const Args& args) {
-  const int type = static_cast<int>(util::parse_int(args.get("type", "1")));
-  const auto dfg = type == 1 ? dag::DfgType::Type1 : dag::DfgType::Type2;
-  const double alpha = util::parse_double(args.get("alpha", "4"));
-  const double rate = util::parse_double(args.get("rate", "4"));
+  const dag::DfgType dfg = dfg_type_from_args(args);
+  const double alpha = args.f64("alpha");
+  const double rate = args.f64("rate");
 
   const core::Grid grid =
       core::run_paper_grid(dfg, core::paper_policy_specs(alpha), rate);
@@ -443,122 +605,40 @@ int cmd_compare(const Args& args) {
   return 0;
 }
 
-using util::json_escape;
-
-/// Visits every cell of the result cube in task order (topology outermost)
-/// with its axis coordinates — the one loop both exporters feed from.
-template <typename Fn>
-void for_each_sweep_cell(const core::BatchResult& result, Fn&& fn) {
-  for (std::size_t t = 0; t < result.topology_count; ++t)
-    for (std::size_t rep = 0; rep < result.replications; ++rep)
-      for (std::size_t r = 0; r < result.rate_count; ++r)
-        for (std::size_t g = 0; g < result.graph_count; ++g)
-          for (std::size_t p = 0; p < result.policy_count; ++p)
-            fn(t, rep, r, g, p, result.at(t, rep, r, g, p));
-}
-
-/// Serialises a sweep result as one JSON object (hand-rolled: the cube is
-/// flat and numeric, no library needed). `graph_labels` names each graph's
-/// scenario coordinates (family/size) so cells are attributable without
-/// knowing the plan's expansion order.
-std::string sweep_to_json(const core::BatchResult& result,
-                          const std::string& type_name,
-                          const std::vector<std::string>& graph_labels) {
-  std::string out = "{\n  \"workload\": \"" + json_escape(type_name) + "\",\n";
-  out += "  \"topologies\": [";
-  for (std::size_t t = 0; t < result.topology_count; ++t) {
-    if (t) out += ", ";
-    out += "\"" + json_escape(result.topology_labels[t]) + "\"";
-  }
-  out += "],\n  \"policies\": [";
-  for (std::size_t p = 0; p < result.policy_count; ++p) {
-    if (p) out += ", ";
-    out += "{\"name\": \"" + json_escape(result.policy_names[p]) +
-           "\", \"spec\": \"" + json_escape(result.policy_specs[p]) + "\"}";
-  }
-  out += "],\n  \"rates_gbps\": [";
-  for (std::size_t r = 0; r < result.rate_count; ++r) {
-    if (r) out += ", ";
-    out += util::format_double(result.rates_gbps[r], 3);
-  }
-  out += "],\n  \"cells\": [\n";
-  bool first = true;
-  for_each_sweep_cell(result, [&](std::size_t t, std::size_t rep,
-                                  std::size_t r, std::size_t g, std::size_t p,
-                                  const core::Cell& cell) {
-    if (!first) out += ",\n";
-    first = false;
-    out += "    {\"topology\": \"" + json_escape(result.topology_labels[t]) +
-           "\", \"replication\": " + std::to_string(rep) +
-           ", \"rate_gbps\": " + util::format_double(result.rates_gbps[r], 3) +
-           ", \"graph\": " + std::to_string(g + 1) +  // 1-based, as CSV
-           ", \"workload\": \"" + json_escape(graph_labels.at(g)) +
-           "\", \"policy\": \"" + json_escape(result.policy_names[p]) +
-           "\", \"makespan_ms\": " + util::format_double(cell.makespan_ms, 6) +
-           ", \"lambda_total_ms\": " +
-           util::format_double(cell.lambda_total_ms, 6) +
-           ", \"alternatives\": " + std::to_string(cell.alternative_count) +
-           "}";
-  });
-  out += "\n  ]\n}\n";
-  return out;
-}
-
 int cmd_sweep(const Args& args) {
-  // Workload axis: either the paper's ten graphs of --type (default), or —
-  // with --family — a generated scenario cube of one or more families,
-  // optionally on a synthetic platform (--ccr/--hetero/--lut-seed).
+  // Workload axis: the paper's ten graphs of --type, or a generated
+  // scenario cube of --family (where Type1 merely labels the Grid slices).
   const bool family_mode = args.has("family");
-  auto dfg = dag::DfgType::Type1;  // labels the Grid slices; Type1 in
-                                   // family mode where it is not meaningful
-  if (!family_mode) {
-    const int type = static_cast<int>(util::parse_int(args.get("type", "1")));
-    if (type != 1 && type != 2)
-      throw std::invalid_argument("--type must be 1 or 2");
-    dfg = type == 1 ? dag::DfgType::Type1 : dag::DfgType::Type2;
-  }
+  const dag::DfgType dfg =
+      family_mode ? dag::DfgType::Type1 : dfg_type_from_args(args);
 
-  // Columns: explicit policy specs plus one APT column per alpha. With
-  // neither option the sweep reproduces the thesis's alpha grid. Specs
-  // validate against the policy registry here, so a typo dies with a
-  // did-you-mean before any graph is generated.
+  // Columns: --policies plus one APT column per alpha (by default the
+  // thesis's alpha grid). A spec typo dies here, before any graph exists.
   std::vector<std::string> specs;
   if (args.has("policies"))
-    specs = core::parse_policy_list(args.get("policies", ""));
-  std::vector<double> alphas;
-  if (args.has("alphas") || !args.has("policies")) {
-    for (const auto& a : util::split(args.get("alphas", "1.5,2,4,8,16"), ','))
-      alphas.push_back(util::parse_double(a));
-    for (const double alpha : alphas)
+    specs = core::parse_policy_list(args.str("policies"));
+  if (args.has("alphas") || !args.has("policies"))
+    for (const double alpha : args.f64_list("alphas"))
       specs.push_back("apt:" + util::format_double(alpha, 3));
-  }
-
-  std::vector<double> rates;
-  for (const auto& r : util::split(args.get("rates", "4,8"), ','))
-    rates.push_back(util::parse_double(r));
-
-  const std::uint64_t seed = util::parse_uint(args.get("seed", "0"));
-  // --topology takes a comma list in sweep: the plan's outermost axis.
+  const std::vector<double> rates = args.f64_list("rates");
+  const std::uint64_t seed = args.u64("seed");
   const std::vector<net::TopologySpec> topologies = topologies_from_args(args);
   std::string workload_name;
-  std::vector<std::string> graph_labels;  // per-graph, for the exporters
+  // Each graph's family/size, so exported cells are attributable without
+  // knowing the plan's expansion order.
+  std::vector<std::string> graph_labels;
   core::ExperimentPlan plan;
   if (family_mode) {
     core::ScenarioSweepSpec spec;
     spec.topology = topologies.front();
     spec.topologies = topologies;
-    spec.families.clear();
-    for (const auto& f : util::split(args.get("family", ""), ','))
-      if (!util::trim(f).empty()) spec.families.push_back(util::trim(f));
-    spec.graphs_per_family =
-        static_cast<std::size_t>(util::parse_uint(args.get("graphs", "10")));
-    spec.kernel_counts.clear();
-    for (const auto& k : util::split(args.get("kernels", "46"), ','))
-      spec.kernel_counts.push_back(
-          static_cast<std::size_t>(util::parse_uint(k)));
+    spec.families = args.list("family");
+    spec.graphs_per_family = static_cast<std::size_t>(args.u64("graphs"));
+    const std::vector<std::uint64_t> kernels = args.u64_list("kernels");
+    spec.kernel_counts.assign(kernels.begin(), kernels.end());
     spec.graph_seed = seed;
     if (wants_synthetic_platform(args))
-      spec.synthetic = synthetic_spec_from_args(args, rates);
+      spec.synthetic = synthetic_spec_from_args(args, rates.front());
     plan = core::make_scenario_plan(spec, specs, rates);
     workload_name = "scenario[" + util::join(spec.families, "+") + "]";
     graph_labels = core::scenario_graph_labels(spec);
@@ -569,51 +649,37 @@ int cmd_sweep(const Args& args) {
     workload_name = dag::to_string(dfg);
     graph_labels.assign(plan.graphs.size(), workload_name);
   }
-  plan.replications =
-      static_cast<std::size_t>(util::parse_uint(args.get("reps", "1")));
+  plan.replications = static_cast<std::size_t>(args.u64("reps"));
   plan.base_seed = seed;
 
-  const std::size_t jobs =
-      static_cast<std::size_t>(util::parse_uint(args.get("jobs", "1")));
-  const core::BatchRunner runner(jobs);
+  const core::BatchRunner runner(static_cast<std::size_t>(args.u64("jobs")));
   const auto t0 = std::chrono::steady_clock::now();
   const core::BatchResult result = runner.run(plan);
-  const double elapsed_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
+  const double elapsed_ms = ms_since(t0);
 
-  // One Grid per (topology, replication, rate) slice; the summary averages
-  // over all replications and sums their wins, so stochastic sweeps
-  // (--reps > 1) are fully represented, not just replication 0.
+  // The summary averages each (topology, policy, rate) over all --reps
+  // replications and sums their wins.
   const double reps = static_cast<double>(result.replications);
-  util::TablePrinter table({"topology", "policy", "rate GB/s",
-                            "avg makespan ms", "avg lambda ms", "wins"});
+  std::vector<Record> summary;
   for (std::size_t t = 0; t < result.topology_count; ++t) {
-    std::vector<std::vector<core::Grid>> grids;  // [rep][rate]
-    grids.reserve(result.replications);
-    for (std::size_t rep = 0; rep < result.replications; ++rep) {
-      grids.emplace_back();
-      grids.back().reserve(result.rate_count);
-      for (std::size_t r = 0; r < result.rate_count; ++r)
-        grids.back().push_back(result.grid(dfg, r, rep, t));
-    }
     for (std::size_t p = 0; p < result.policy_count; ++p) {
       for (std::size_t r = 0; r < result.rate_count; ++r) {
         double makespan = 0.0;
         double lambda = 0.0;
         std::size_t wins = 0;
         for (std::size_t rep = 0; rep < result.replications; ++rep) {
-          const core::Grid& grid = grids[rep][r];
+          const core::Grid grid = result.grid(dfg, r, rep, t);
           makespan += grid.avg_makespan_ms(p);
           lambda += grid.avg_lambda_ms(p);
           wins += grid.wins(p);
         }
-        table.add_row({result.topology_labels[t], result.policy_names[p],
-                       util::format_double(result.rates_gbps[r], 0),
-                       util::format_double(makespan / reps, 1),
-                       util::format_double(lambda / reps, 1),
-                       std::to_string(wins)});
+        summary.push_back(
+            {{"topology", result.topology_labels[t]},
+             {"policy", result.policy_names[p]},
+             {"rate GB/s", util::format_double(result.rates_gbps[r], 0)},
+             {"avg makespan ms", util::format_double(makespan / reps, 1)},
+             {"avg lambda ms", util::format_double(lambda / reps, 1)},
+             {"wins", std::to_string(wins)}});
       }
     }
   }
@@ -621,52 +687,72 @@ int cmd_sweep(const Args& args) {
             << util::join(result.topology_labels, "+") << ", "
             << result.graph_count << " graphs x " << result.policy_count
             << " policies x " << result.rate_count << " rates x "
-            << result.topology_count << " topologies x "
-            << result.replications << " reps = " << result.cells.size()
-            << " runs in " << util::format_double(elapsed_ms, 1) << " ms ("
-            << runner.jobs() << " jobs)\n"
-            << table.to_string();
+            << result.topology_count << " topologies x " << result.replications
+            << " reps = " << result.cells.size() << " runs in "
+            << util::format_double(elapsed_ms, 1) << " ms (" << runner.jobs()
+            << " jobs)\n"
+            << tabulate<util::TablePrinter>(summary).to_string();
 
-  if (args.has("csv")) {
-    util::CsvTable csv({"replication", "rate_gbps", "topology", "graph",
-                        "workload", "policy", "spec", "makespan_ms",
-                        "lambda_total_ms", "lambda_avg_ms",
-                        "lambda_stddev_ms", "alternatives"});
-    for_each_sweep_cell(result, [&](std::size_t t, std::size_t rep,
-                                    std::size_t r, std::size_t g,
-                                    std::size_t p, const core::Cell& cell) {
-      csv.add_row({std::to_string(rep),
-                   util::format_double(result.rates_gbps[r], 3),
-                   result.topology_labels[t], std::to_string(g + 1),
-                   graph_labels.at(g), result.policy_names[p],
-                   result.policy_specs[p],
-                   util::format_double(cell.makespan_ms, 6),
-                   util::format_double(cell.lambda_total_ms, 6),
-                   util::format_double(cell.lambda_avg_ms, 6),
-                   util::format_double(cell.lambda_stddev_ms, 6),
-                   std::to_string(cell.alternative_count)});
-    });
-    util::write_csv_file(csv, args.get("csv", ""));
-    std::cout << "cells written to " << args.get("csv", "") << "\n";
-  }
+  // One CSV row and one JSON object per cell, topology outermost.
+  std::vector<Record> rows;
+  std::vector<std::string> cells;
+  for (std::size_t t = 0; t < result.topology_count; ++t)
+    for (std::size_t rep = 0; rep < result.replications; ++rep)
+      for (std::size_t r = 0; r < result.rate_count; ++r)
+        for (std::size_t g = 0; g < result.graph_count; ++g)
+          for (std::size_t p = 0; p < result.policy_count; ++p) {
+            const core::Cell& cell = result.at(t, rep, r, g, p);
+            const std::string rate =
+                util::format_double(result.rates_gbps[r], 3);
+            rows.push_back(
+                {{"replication", std::to_string(rep)},
+                 {"rate_gbps", rate},
+                 {"topology", result.topology_labels[t]},
+                 {"graph", std::to_string(g + 1)},
+                 {"workload", graph_labels.at(g)},
+                 {"policy", result.policy_names[p]},
+                 {"spec", result.policy_specs[p]},
+                 {"makespan_ms", f6(cell.makespan_ms)},
+                 {"lambda_total_ms", f6(cell.lambda_total_ms)},
+                 {"lambda_avg_ms", f6(cell.lambda_avg_ms)},
+                 {"lambda_stddev_ms", f6(cell.lambda_stddev_ms)},
+                 {"alternatives", std::to_string(cell.alternative_count)}});
+            cells.push_back(
+                "    " +
+                json_object({{"topology", json_str(result.topology_labels[t])},
+                             {"replication", std::to_string(rep)},
+                             {"rate_gbps", rate},
+                             {"graph", std::to_string(g + 1)},
+                             {"workload", json_str(graph_labels.at(g))},
+                             {"policy", json_str(result.policy_names[p])},
+                             {"makespan_ms", f6(cell.makespan_ms)},
+                             {"lambda_total_ms", f6(cell.lambda_total_ms)},
+                             {"alternatives",
+                              std::to_string(cell.alternative_count)}}));
+          }
+  if (args.has("csv"))
+    write_export(args.str("csv"),
+                 util::to_csv_string(tabulate<util::CsvTable>(rows)), "cells");
   if (args.has("json")) {
-    std::ofstream out(args.get("json", ""), std::ios::binary);
-    if (!out)
-      throw std::runtime_error("sweep: cannot open '" +
-                               args.get("json", "") + "'");
-    out << sweep_to_json(result, workload_name, graph_labels);
-    std::cout << "cells written to " << args.get("json", "") << "\n";
+    std::vector<std::string> topologies, policies, rates;
+    for (const std::string& label : result.topology_labels)
+      topologies.push_back(json_str(label));
+    for (std::size_t p = 0; p < result.policy_count; ++p)
+      policies.push_back(
+          json_object({{"name", json_str(result.policy_names[p])},
+                       {"spec", json_str(result.policy_specs[p])}}));
+    for (const double rate : result.rates_gbps)
+      rates.push_back(util::format_double(rate, 3));
+    write_export(args.str("json"),
+                 "{\n  \"workload\": " + json_str(workload_name) +
+                     ",\n  \"topologies\": [" + util::join(topologies, ", ") +
+                     "],\n  \"policies\": [" + util::join(policies, ", ") +
+                     "],\n  \"rates_gbps\": [" + util::join(rates, ", ") +
+                     "],\n  \"cells\": [\n" + util::join(cells, ",\n") +
+                     "\n  ]\n}\n",
+                 "cells");
   }
   return 0;
-}
-
-/// Splits a comma-separated option into trimmed, non-empty tokens.
-std::vector<std::string> csv_tokens(const Args& args, const std::string& key,
-                                    const std::string& fallback) {
-  std::vector<std::string> out;
-  for (const auto& token : util::split(args.get(key, fallback), ','))
-    if (!util::trim(token).empty()) out.push_back(util::trim(token));
-  return out;
 }
 
 /// Reads an arrival-trace file: one absolute arrival instant (ms) per
@@ -677,11 +763,10 @@ std::vector<sim::TimeMs> read_trace_file(const std::string& path) {
   if (!in)
     throw std::runtime_error("stream: cannot open trace file '" + path + "'");
   std::vector<sim::TimeMs> out;
-  std::string line;
-  while (std::getline(in, line)) {
+  for (std::string line; std::getline(in, line);) {
     const std::string token = util::trim(line);
-    if (token.empty() || token[0] == '#') continue;
-    out.push_back(util::parse_double(token));
+    if (!token.empty() && token[0] != '#')
+      out.push_back(util::parse_double(token));
   }
   if (out.empty())
     throw std::runtime_error("stream: trace file '" + path +
@@ -689,11 +774,8 @@ std::vector<sim::TimeMs> read_trace_file(const std::string& path) {
   return out;
 }
 
-/// One (topology × tail-probability × hedging-mode) slice of the stream
-/// ablation: the whole grid rerun under those fabric/noise/hedging
-/// settings. Topology is the outermost axis, so a comm-aware vs comm-blind
-/// policy pair is compared across every routed fabric × arrival rate in a
-/// single CSV/JSON.
+/// One (topology × tail probability × hedging mode) slice of the stream
+/// ablation: the whole grid, rerun under those settings.
 struct StreamAblationRun {
   std::string topology_label;
   double tail_prob = 0.0;
@@ -701,9 +783,7 @@ struct StreamAblationRun {
   core::StreamBatchResult result;
 };
 
-/// The comm_aware ablation column of a policy spec ("true"/"false" from
-/// the registry flag; unknown specs — impossible after parse_policy_list —
-/// report "false").
+/// The comm_aware ablation column of a (registry-validated) policy spec.
 const char* comm_aware_label(const std::string& spec) {
   const core::PolicyInfo* info = core::find_policy_info(spec);
   return info && info->comm_aware ? "true" : "false";
@@ -711,75 +791,52 @@ const char* comm_aware_label(const std::string& spec) {
 
 int cmd_stream(const Args& args) {
   core::StreamPlan plan;
-  plan.families = csv_tokens(args, "family", "type1");
-  plan.rates_per_ms.clear();
-  for (const auto& r : csv_tokens(args, "rate", "0.01"))
-    plan.rates_per_ms.push_back(util::parse_double(r));
-  // Registry-validated: a typo fails here with a did-you-mean instead of
-  // mid-run inside a worker.
-  plan.policy_specs =
-      core::parse_policy_list(args.get("policies", "apt:4,met,spn,ag"));
-  plan.kernels =
-      static_cast<std::size_t>(util::parse_uint(args.get("kernels", "46")));
-  plan.arrival_kind =
-      stream::parse_arrival_kind(args.get("arrival", "poisson"));
+  plan.families = args.list("family");
+  plan.rates_per_ms = args.f64_list("rate");
+  // Registry-validated: a typo fails here, not mid-run in a worker.
+  plan.policy_specs = core::parse_policy_list(args.str("policies"));
+  plan.kernels = static_cast<std::size_t>(args.u64("kernels"));
+  plan.arrival_kind = stream::parse_arrival_kind(args.str("arrival"));
   if (plan.arrival_kind == stream::ArrivalKind::Trace) {
     if (!args.has("trace-file"))
       throw std::runtime_error(
           "stream: --arrival trace needs --trace-file FILE");
-    plan.trace_arrivals = read_trace_file(args.get("trace-file", ""));
+    plan.trace_arrivals = read_trace_file(args.str("trace-file"));
   }
-  plan.max_apps =
-      static_cast<std::size_t>(util::parse_uint(args.get("max-apps", "0")));
-  plan.horizon_ms = util::parse_double(args.get("duration", "60000"));
-  // Warmup default: the first tenth of the admission horizon, so
-  // steady-state metrics are not biased by the initial empty-system ramp.
-  plan.warmup_ms = args.has("warmup")
-                       ? util::parse_double(args.get("warmup", ""))
-                       : plan.horizon_ms * 0.1;
-  plan.base_seed = util::parse_uint(args.get("seed", "0"));
-  const double link_rate = util::parse_double(args.get("link-rate", "4"));
+  plan.max_apps = static_cast<std::size_t>(args.u64("max-apps"));
+  plan.horizon_ms = args.f64("duration");
+  // By default a tenth of the horizon: the empty-system ramp is unmeasured.
+  plan.warmup_ms =
+      args.has("warmup") ? args.f64("warmup") : plan.horizon_ms * 0.1;
+  plan.base_seed = args.u64("seed");
+  const double link_rate = args.f64("link-rate");
   plan.base_system = sim::SystemConfig::paper_default(link_rate);
-  // --topology takes a comma list: each fabric reruns the whole grid as an
-  // ablation slice (workload seeds depend only on the plan's base seed, so
-  // every fabric faces the identical arrival sequence).
+  // Each --topology fabric reruns the whole grid; workload seeds depend
+  // only on the base seed, so every fabric sees the same arrivals.
   const std::vector<net::TopologySpec> topologies = topologies_from_args(args);
   plan.base_system.topology = topologies.front();
-  plan.table = table_from_args(args, {link_rate});
+  plan.table = table_from_args(args, link_rate);
   std::vector<std::string> topology_labels;
   for (const net::TopologySpec& t : topologies)
     topology_labels.push_back(t.label());
   const std::string topology_label = util::join(topology_labels, "+");
 
-  // Service-time noise + hedging ablation axes. All default to off, which
-  // reproduces noise-free streams bit-for-bit.
-  plan.noise.sigma = util::parse_double(args.get("noise-sigma", "0"));
-  plan.noise.heavy_tail_multiplier =
-      util::parse_double(args.get("tail-mult", "20"));
-  plan.noise.seed = util::parse_uint(args.get("noise-seed", "0"));
-  std::vector<double> tail_probs;
-  for (const auto& p : csv_tokens(args, "tail-prob", "0"))
-    tail_probs.push_back(util::parse_double(p));
-  const std::string hedging_mode = args.get("hedging", "off");
-  std::vector<bool> hedging_modes;
-  if (hedging_mode == "off")
-    hedging_modes = {false};
-  else if (hedging_mode == "on")
-    hedging_modes = {true};
-  else if (hedging_mode == "both")
-    hedging_modes = {false, true};
-  else
+  // Noise and hedging ablation axes; off by default.
+  plan.noise.sigma = args.f64("noise-sigma");
+  plan.noise.heavy_tail_multiplier = args.f64("tail-mult");
+  plan.noise.seed = args.u64("noise-seed");
+  const std::vector<double> tail_probs = args.f64_list("tail-prob");
+  const std::string hedging = args.str("hedging");
+  if (hedging != "off" && hedging != "on" && hedging != "both")
     throw std::runtime_error("stream: --hedging must be on, off, or both");
-  plan.hedging.quantile =
-      util::parse_double(args.get("hedge-quantile", "0.95"));
-  plan.hedging.threshold_factor =
-      util::parse_double(args.get("hedge-factor", "1.5"));
+  const std::vector<bool> hedging_modes =
+      hedging == "both" ? std::vector<bool>{false, true}
+                        : std::vector<bool>{hedging == "on"};
+  plan.hedging.quantile = args.f64("hedge-quantile");
+  plan.hedging.threshold_factor = args.f64("hedge-factor");
 
-  // Observability (src/obs): --profile attaches a per-cell profile (each
-  // snapshot lands in its cell's metrics and the JSON export); --trace-out
-  // captures the timeline of flat cell 0 — the grid's first family/rate/
-  // policy cell — of the FIRST ablation slice, so the sink never sees
-  // interleaved cells.
+  // --profile attaches a profile to every cell; --trace-out captures cell
+  // 0 of the first slice only, so the sink never sees interleaved cells.
   plan.profile = args.has("profile");
   const sim::System trace_system(plan.base_system);
   std::optional<obs::ChromeTraceWriter> tracer;
@@ -789,9 +846,7 @@ int cmd_stream(const Args& args) {
     plan.trace_cell = 0;
   }
 
-  const std::size_t jobs =
-      static_cast<std::size_t>(util::parse_uint(args.get("jobs", "1")));
-  const core::BatchRunner runner(jobs);
+  const core::BatchRunner runner(static_cast<std::size_t>(args.u64("jobs")));
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<StreamAblationRun> runs;
   for (const net::TopologySpec& topo : topologies) {
@@ -800,17 +855,13 @@ int cmd_stream(const Args& args) {
       for (const bool hedging : hedging_modes) {
         plan.noise.heavy_tail_prob = tail_prob;
         plan.hedging.enabled = hedging;
-        runs.push_back(StreamAblationRun{
-            topo.label(), tail_prob, hedging,
-            core::run_stream_plan(plan, runner)});
+        runs.push_back(StreamAblationRun{topo.label(), tail_prob, hedging,
+                                         core::run_stream_plan(plan, runner)});
         plan.trace_sink = nullptr;  // only the first slice is traced
       }
     }
   }
-  const double elapsed_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
+  const double elapsed_ms = ms_since(t0);
 
   const core::StreamBatchResult& first = runs.front().result;
   std::cout << "stream, " << first.families.size() << " families x "
@@ -824,185 +875,143 @@ int cmd_stream(const Args& args) {
             << util::format_double(plan.horizon_ms, 0) << " ms, warmup "
             << util::format_double(plan.warmup_ms, 0) << " ms, noise sigma "
             << util::format_double(plan.noise.sigma, 3) << "\n";
-  util::TablePrinter table({"family", "rate/ms", "topology", "policy",
-                            "tail", "hedge", "apps", "thrpt/s",
-                            "flow avg ms", "flow p95 ms", "flow p99 ms",
-                            "slowdown", "util %", "hedges w/l"});
+  std::vector<Record> rows;
+  std::vector<Record> csv_rows;
+  std::vector<std::string> json_cells;
+  // --profile snapshots, summed over all cells for the console (the JSON
+  // keeps them per cell).
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, obs::ProfileSnapshot::TimerEntry> timers;
   for (const StreamAblationRun& run : runs) {
     for (const core::StreamCellResult& cell : run.result.cells) {
       const sim::StreamMetrics& m = cell.metrics;
       const std::size_t lost = m.hedges_launched - m.hedges_replica_won;
-      table.add_row({cell.family, util::format_double(cell.rate_per_ms, 6),
-                     run.topology_label, cell.policy_name,
-                     util::format_double(run.tail_prob, 3),
-                     run.hedging ? "on" : "off",
-                     std::to_string(m.apps_measured),
-                     util::format_double(m.throughput_apps_per_s, 2),
-                     util::format_double(m.flow_ms.avg, 1),
-                     util::format_double(m.flow_ms.p95, 1),
-                     util::format_double(m.flow_ms.p99, 1),
-                     util::format_double(m.slowdown.avg, 2),
-                     util::format_double(m.avg_utilization * 100.0, 1),
-                     std::to_string(m.hedges_replica_won) + "/" +
-                         std::to_string(lost)});
+      rows.push_back(
+          {{"family", cell.family},
+           {"rate/ms", f6(cell.rate_per_ms)},
+           {"topology", run.topology_label},
+           {"policy", cell.policy_name},
+           {"tail", util::format_double(run.tail_prob, 3)},
+           {"hedge", run.hedging ? "on" : "off"},
+           {"apps", std::to_string(m.apps_measured)},
+           {"thrpt/s", util::format_double(m.throughput_apps_per_s, 2)},
+           {"flow avg ms", util::format_double(m.flow_ms.avg, 1)},
+           {"flow p95 ms", util::format_double(m.flow_ms.p95, 1)},
+           {"flow p99 ms", util::format_double(m.flow_ms.p99, 1)},
+           {"slowdown", util::format_double(m.slowdown.avg, 2)},
+           {"util %", util::format_double(m.avg_utilization * 100.0, 1)},
+           {"hedges w/l", std::to_string(m.hedges_replica_won) + "/" +
+                              std::to_string(lost)}});
+      for (const auto& c : m.profile.counters) counters[c.name] += c.count;
+      for (const auto& t : m.profile.timers) {
+        obs::ProfileSnapshot::TimerEntry& total = timers[t.name];
+        total.name = t.name;
+        total.count += t.count;
+        total.total_ms += t.total_ms;
+        total.max_ms = std::max(total.max_ms, t.max_ms);
+      }
+      const Record row = {
+          {"family", cell.family},
+          {"rate_per_ms", f6(cell.rate_per_ms)},
+          {"topology", run.topology_label},
+          {"policy", cell.policy_name},
+          {"spec", cell.policy_spec},
+          {"comm_aware", comm_aware_label(cell.policy_spec)},
+          {"apps_arrived", std::to_string(m.apps_arrived)},
+          {"apps_completed", std::to_string(m.apps_completed)},
+          {"apps_measured", std::to_string(m.apps_measured)},
+          {"throughput_apps_per_s", f6(m.throughput_apps_per_s)},
+          {"flow_avg_ms", f6(m.flow_ms.avg)},
+          {"flow_p50_ms", f6(m.flow_ms.p50)},
+          {"flow_p95_ms", f6(m.flow_ms.p95)},
+          {"flow_p99_ms", f6(m.flow_ms.p99)},
+          {"flow_max_ms", f6(m.flow_ms.max)},
+          {"slowdown_avg", f6(m.slowdown.avg)},
+          {"slowdown_p50", f6(m.slowdown.p50)},
+          {"slowdown_p95", f6(m.slowdown.p95)},
+          {"slowdown_p99", f6(m.slowdown.p99)},
+          {"slowdown_max", f6(m.slowdown.max)},
+          {"avg_utilization", f6(m.avg_utilization)},
+          {"queue_depth_avg", f6(m.queue_depth_avg)},
+          {"queue_depth_max", std::to_string(m.queue_depth_max)},
+          {"live_apps_avg", f6(m.live_apps_avg)},
+          {"live_apps_max", std::to_string(m.live_apps_max)},
+          {"warmup_ms", util::format_double(m.warmup_ms, 3)},
+          {"end_ms", util::format_double(m.end_ms, 3)},
+          {"noise_sigma", f6(plan.noise.sigma)},
+          {"tail_prob", f6(run.tail_prob)},
+          {"tail_mult", f6(plan.noise.heavy_tail_multiplier)},
+          {"hedging", run.hedging ? "on" : "off"},
+          {"hedges_launched", std::to_string(m.hedges_launched)},
+          {"hedges_replica_won", std::to_string(m.hedges_replica_won)},
+          {"hedge_wasted_ms", f6(m.hedge_wasted_ms)}};
+      if (args.has("csv")) csv_rows.push_back(row);
+      if (args.has("json")) {
+        const net::SolveStats& tm = m.tm_solve_stats;
+        Record fields = {{"family", json_str(cell.family)},
+                         {"rate_per_ms", f6(cell.rate_per_ms)},
+                         {"topology", json_str(run.topology_label)},
+                         {"policy", json_str(cell.policy_name)},
+                         {"spec", json_str(cell.policy_spec)},
+                         {"comm_aware", comm_aware_label(cell.policy_spec)},
+                         {"tail_prob", f6(run.tail_prob)},
+                         {"hedging", run.hedging ? "true" : "false"}};
+        // The metrics the JSON keeps: these CSV columns, in their order.
+        for (const auto& field : row)
+          for (const char* key :
+               {"apps_measured", "throughput_apps_per_s", "flow_avg_ms",
+                "flow_p95_ms", "flow_p99_ms", "slowdown_avg", "slowdown_p99",
+                "avg_utilization", "queue_depth_avg", "queue_depth_max",
+                "hedges_launched", "hedges_replica_won", "hedge_wasted_ms"})
+            if (field.first == key) fields.push_back(field);
+        fields.emplace_back(
+            "tm_solver",
+            json_object({{"full", std::to_string(tm.full_solves)},
+                         {"incremental", std::to_string(tm.incremental_solves)},
+                         {"fallback", std::to_string(tm.fallback_solves)},
+                         {"flows_resolved", std::to_string(tm.flows_resolved)},
+                         {"flows_active", std::to_string(tm.flows_active)}}));
+        if (!m.profile.empty())
+          fields.emplace_back("profile", profile_to_json(m.profile));
+        std::vector<std::string> samples;
+        for (const auto& [at, depth] : m.queue_depth_samples)
+          samples.push_back("[" + util::format_double(at, 3) + ", " +
+                            std::to_string(depth) + "]");
+        fields.emplace_back("queue_depth_samples",
+                            "[" + util::join(samples, ", ") + "]");
+        json_cells.push_back("    " + json_object(fields));
+      }
     }
   }
-  std::cout << table.to_string();
+  std::cout << tabulate<util::TablePrinter>(rows).to_string();
 
   if (tracer) {
     std::cout << "traced cell: family " << first.families.front() << ", rate "
               << util::format_double(first.rates_per_ms.front(), 6)
               << "/ms, policy " << first.policy_names.front() << ", topology "
               << runs.front().topology_label << "\n";
-    finish_trace(*tracer, args.get("trace-out", ""));
+    finish_trace(*tracer, args.str("trace-out"));
   }
   if (plan.profile) {
-    // Aggregate the per-cell snapshots for the console (sums over all
-    // cells and slices; timer max is the max across cells). The JSON
-    // export below keeps them per cell.
-    std::map<std::string, std::uint64_t> counters;
-    struct TimerTotal {
-      std::uint64_t count = 0;
-      double total_ms = 0.0;
-      double max_ms = 0.0;
-    };
-    std::map<std::string, TimerTotal> timers;
-    for (const StreamAblationRun& run : runs) {
-      for (const core::StreamCellResult& cell : run.result.cells) {
-        for (const auto& c : cell.metrics.profile.counters)
-          counters[c.name] += c.count;
-        for (const auto& t : cell.metrics.profile.timers) {
-          TimerTotal& tot = timers[t.name];
-          tot.count += t.count;
-          tot.total_ms += t.total_ms;
-          tot.max_ms = std::max(tot.max_ms, t.max_ms);
-        }
-      }
-    }
-    obs::ProfileSnapshot aggregate;
+    obs::ProfileSnapshot total;
     for (const auto& [name, count] : counters)
-      aggregate.counters.push_back({name, count});
-    for (const auto& [name, t] : timers)
-      aggregate.timers.push_back({name, t.count, t.total_ms, t.max_ms});
-    print_profile(aggregate, "profile (summed over all cells/slices):");
+      total.counters.push_back({name, count});
+    for (const auto& entry : timers) total.timers.push_back(entry.second);
+    print_profile(total, "profile (summed over all cells/slices):");
   }
-
-  if (args.has("csv")) {
-    util::CsvTable csv(
-        {"family", "rate_per_ms", "topology", "policy", "spec", "comm_aware",
-         "apps_arrived",
-         "apps_completed", "apps_measured", "throughput_apps_per_s",
-         "flow_avg_ms", "flow_p50_ms", "flow_p95_ms", "flow_p99_ms",
-         "flow_max_ms",
-         "slowdown_avg", "slowdown_p50", "slowdown_p95", "slowdown_p99",
-         "slowdown_max",
-         "avg_utilization", "queue_depth_avg", "queue_depth_max",
-         "live_apps_avg", "live_apps_max", "warmup_ms", "end_ms",
-         "noise_sigma", "tail_prob", "tail_mult", "hedging",
-         "hedges_launched", "hedges_replica_won", "hedge_wasted_ms"});
-    for (const StreamAblationRun& run : runs) {
-      for (const core::StreamCellResult& cell : run.result.cells) {
-        const sim::StreamMetrics& m = cell.metrics;
-        csv.add_row({cell.family, util::format_double(cell.rate_per_ms, 6),
-                     run.topology_label, cell.policy_name, cell.policy_spec,
-                     comm_aware_label(cell.policy_spec),
-                     std::to_string(m.apps_arrived),
-                     std::to_string(m.apps_completed),
-                     std::to_string(m.apps_measured),
-                     util::format_double(m.throughput_apps_per_s, 6),
-                     util::format_double(m.flow_ms.avg, 6),
-                     util::format_double(m.flow_ms.p50, 6),
-                     util::format_double(m.flow_ms.p95, 6),
-                     util::format_double(m.flow_ms.p99, 6),
-                     util::format_double(m.flow_ms.max, 6),
-                     util::format_double(m.slowdown.avg, 6),
-                     util::format_double(m.slowdown.p50, 6),
-                     util::format_double(m.slowdown.p95, 6),
-                     util::format_double(m.slowdown.p99, 6),
-                     util::format_double(m.slowdown.max, 6),
-                     util::format_double(m.avg_utilization, 6),
-                     util::format_double(m.queue_depth_avg, 6),
-                     std::to_string(m.queue_depth_max),
-                     util::format_double(m.live_apps_avg, 6),
-                     std::to_string(m.live_apps_max),
-                     util::format_double(m.warmup_ms, 3),
-                     util::format_double(m.end_ms, 3),
-                     util::format_double(plan.noise.sigma, 6),
-                     util::format_double(run.tail_prob, 6),
-                     util::format_double(plan.noise.heavy_tail_multiplier, 6),
-                     run.hedging ? "on" : "off",
-                     std::to_string(m.hedges_launched),
-                     std::to_string(m.hedges_replica_won),
-                     util::format_double(m.hedge_wasted_ms, 6)});
-      }
-    }
-    util::write_csv_file(csv, args.get("csv", ""));
-    std::cout << "cells written to " << args.get("csv", "") << "\n";
-  }
+  if (args.has("csv"))
+    write_export(args.str("csv"),
+                 util::to_csv_string(tabulate<util::CsvTable>(csv_rows)),
+                 "cells");
   if (args.has("json")) {
-    std::ofstream out(args.get("json", ""), std::ios::binary);
-    if (!out)
-      throw std::runtime_error("stream: cannot open '" +
-                               args.get("json", "") + "'");
-    out << "{\n  \"workload\": \"stream\",\n  \"arrivals\": \""
-        << stream::to_string(plan.arrival_kind) << "\",\n  \"topology\": \""
-        << json_escape(topology_label) << "\",\n  \"noise_sigma\": "
-        << util::format_double(plan.noise.sigma, 6) << ",\n  \"cells\": [\n";
-    std::size_t emitted = 0;
-    const std::size_t total = first.cells.size() * runs.size();
-    for (const StreamAblationRun& run : runs) {
-      for (const core::StreamCellResult& cell : run.result.cells) {
-        const sim::StreamMetrics& m = cell.metrics;
-        out << "    {\"family\": \"" << json_escape(cell.family)
-            << "\", \"rate_per_ms\": "
-            << util::format_double(cell.rate_per_ms, 6)
-            << ", \"topology\": \"" << json_escape(run.topology_label)
-            << "\", \"policy\": \""
-            << json_escape(cell.policy_name) << "\", \"spec\": \""
-            << json_escape(cell.policy_spec) << "\", \"comm_aware\": "
-            << comm_aware_label(cell.policy_spec)
-            << ", \"tail_prob\": " << util::format_double(run.tail_prob, 6)
-            << ", \"hedging\": " << (run.hedging ? "true" : "false")
-            << ", \"apps_measured\": " << m.apps_measured
-            << ", \"throughput_apps_per_s\": "
-            << util::format_double(m.throughput_apps_per_s, 6)
-            << ", \"flow_avg_ms\": " << util::format_double(m.flow_ms.avg, 6)
-            << ", \"flow_p95_ms\": " << util::format_double(m.flow_ms.p95, 6)
-            << ", \"flow_p99_ms\": " << util::format_double(m.flow_ms.p99, 6)
-            << ", \"slowdown_avg\": "
-            << util::format_double(m.slowdown.avg, 6)
-            << ", \"slowdown_p99\": "
-            << util::format_double(m.slowdown.p99, 6)
-            << ", \"avg_utilization\": "
-            << util::format_double(m.avg_utilization, 6)
-            << ", \"queue_depth_avg\": "
-            << util::format_double(m.queue_depth_avg, 6)
-            << ", \"queue_depth_max\": " << m.queue_depth_max
-            << ", \"hedges_launched\": " << m.hedges_launched
-            << ", \"hedges_replica_won\": " << m.hedges_replica_won
-            << ", \"hedge_wasted_ms\": "
-            << util::format_double(m.hedge_wasted_ms, 6)
-            << ", \"tm_solver\": {\"full\": " << m.tm_solve_stats.full_solves
-            << ", \"incremental\": " << m.tm_solve_stats.incremental_solves
-            << ", \"fallback\": " << m.tm_solve_stats.fallback_solves
-            << ", \"flows_resolved\": " << m.tm_solve_stats.flows_resolved
-            << ", \"flows_active\": " << m.tm_solve_stats.flows_active
-            << "}";
-        if (!m.profile.empty())
-          out << ", \"profile\": " << profile_to_json(m.profile);
-        out << ", \"queue_depth_samples\": [";
-        for (std::size_t s = 0; s < m.queue_depth_samples.size(); ++s) {
-          if (s) out << ", ";
-          out << "["
-              << util::format_double(m.queue_depth_samples[s].first, 3)
-              << ", " << m.queue_depth_samples[s].second << "]";
-        }
-        ++emitted;
-        out << "]}" << (emitted < total ? ",\n" : "\n");
-      }
-    }
-    out << "  ]\n}\n";
-    std::cout << "cells written to " << args.get("json", "") << "\n";
+    write_export(args.str("json"),
+                 "{\n  \"workload\": \"stream\",\n  \"arrivals\": \"" +
+                     std::string(stream::to_string(plan.arrival_kind)) +
+                     "\",\n  \"topology\": " + json_str(topology_label) +
+                     ",\n  \"noise_sigma\": " + f6(plan.noise.sigma) +
+                     ",\n  \"cells\": [\n" + util::join(json_cells, ",\n") +
+                     "\n  ]\n}\n",
+                 "cells");
   }
   return 0;
 }
@@ -1010,12 +1019,12 @@ int cmd_stream(const Args& args) {
 int cmd_lut(const Args& args) {
   const lut::LookupTable table = lut::paper_lookup_table();
   if (args.has("csv")) {
-    table.save_csv_file(args.get("csv", ""));
-    std::cout << "lookup table written to " << args.get("csv", "") << "\n";
+    table.save_csv_file(args.str("csv"));
+    std::cout << "lookup table written to " << args.str("csv") << "\n";
     return 0;
   }
-  util::TablePrinter printer({"Kernel", "Data Size", "CPU (ms)", "GPU (ms)",
-                              "FPGA (ms)"});
+  util::TablePrinter printer(
+      {"Kernel", "Data Size", "CPU (ms)", "GPU (ms)", "FPGA (ms)"});
   for (const auto& e : table.entries()) {
     printer.add_row({e.kernel, std::to_string(e.data_size),
                      util::format_double(e.time(lut::ProcType::CPU), 3),
@@ -1027,8 +1036,8 @@ int cmd_lut(const Args& args) {
 }
 
 int cmd_report(const Args& args) {
-  const std::string dir = args.get("out-dir", "report");
-  const double alpha = util::parse_double(args.get("alpha", "4"));
+  const std::string dir = args.str("out-dir");
+  const double alpha = args.f64("alpha");
   std::filesystem::create_directories(dir);
   std::cout << "Regenerating the reproduction bundle (alpha = " << alpha
             << ") into " << dir << "/ ...\n";
@@ -1037,26 +1046,22 @@ int cmd_report(const Args& args) {
   return 0;
 }
 
-int cmd_policies() {
+int cmd_policies(const Args& /*args*/) {
   // One row per registry entry: usage, dynamic/static, summary, aliases.
-  std::size_t width = 0;
+  Record rows;
   for (const auto& info : core::policy_registry())
-    width = std::max(width, info.usage.size());
+    rows.emplace_back(
+        info.usage,
+        (info.dynamic ? "dynamic  " : "static   ") + info.summary +
+            (info.aliases.empty()
+                 ? ""
+                 : " [aka " + util::join(info.aliases, ", ") + "]"));
   std::cout << "known policies (SPEC forms for --policy / --policies):\n";
-  for (const auto& info : core::policy_registry()) {
-    std::cout << "  " << info.usage
-              << std::string(width - info.usage.size() + 2, ' ')
-              << (info.dynamic ? "dynamic  " : "static   ") << info.summary;
-    if (!info.aliases.empty())
-      std::cout << " [aka " << util::join(info.aliases, ", ") << "]";
-    std::cout << "\n";
-  }
+  print_rows(rows);
   return 0;
 }
 
-// Build info injected by CMake (git describe + CMAKE_BUILD_TYPE); the
-// fallbacks keep non-CMake builds (e.g. a bare compiler invocation)
-// working.
+// Build info injected by CMake; the fallbacks serve non-CMake builds.
 #ifndef APTSIM_GIT_DESCRIBE
 #define APTSIM_GIT_DESCRIBE "unknown"
 #endif
@@ -1064,100 +1069,86 @@ int cmd_policies() {
 #define APTSIM_BUILD_TYPE "unknown"
 #endif
 
-int cmd_version() {
+int cmd_version(const Args& /*args*/) {
   std::cout << "aptsim " << APTSIM_GIT_DESCRIBE << " (" << APTSIM_BUILD_TYPE
             << " build)\n";
   return 0;
 }
 
-void usage() {
-  std::cout <<
-      "aptsim — heterogeneous-scheduling simulator (APT reproduction)\n"
-      "\n"
-      "usage:\n"
-      "  aptsim gen [--family NAME | --type 1|2] --kernels N --seed S\n"
-      "             [--out F] [--dot F] [--arrivals MEAN_MS]\n"
-      "             [--lut F.csv | --ccr X --hetero H --lut-seed S]\n"
-      "             [--rate GBPS] [--lut-out F]   (alias: generate)\n"
-      "  aptsim run --policy SPEC [--graph F | --family NAME | --type T]\n"
-      "             [--kernels N] [--seed S] [--rate GBPS]\n"
-      "             [--lut F.csv | --ccr X --hetero H --lut-seed S]\n"
-      "             [--topology ideal|bus|crossbar|hier[:S]|\n"
-      "                  ring[:N]|mesh:RxC|fattree[:K]]\n"
-      "             [--bandwidth GBPS] [--latency MS]\n"
-      "             [--arrivals MEAN_MS] [--trace] [--gantt] [--analyze]\n"
-      "             [--csv F] [--trace-out F.json] [--trace-max-events N]\n"
-      "             [--trace-every K] [--profile]\n"
-      "  aptsim compare [--type T] [--alpha A] [--rate GBPS]\n"
-      "  aptsim sweep [--type T | --family NAME,... [--graphs G]\n"
-      "               [--kernels N,...] [--ccr X] [--hetero H]\n"
-      "               [--lut-seed S]] [--policies SPEC,...]\n"
-      "               [--alphas 1.5,2,4] [--rates 4,8] [--jobs N] [--reps R]\n"
-      "               [--topology KIND,...  (ideal|bus|crossbar|hier[:S]|\n"
-      "                  ring[:N]|mesh:RxC|fattree[:K]; a comma list sweeps\n"
-      "                  the topology axis)]\n"
-      "               [--bandwidth GBPS] [--latency MS]\n"
-      "               [--seed S] [--csv F] [--json F]\n"
-      "  aptsim stream [--family NAME,...] [--rate L,... (apps/ms)]\n"
-      "               [--policies SPEC,...] [--kernels N]\n"
-      "               [--arrival poisson|deterministic|trace\n"
-      "                  [--trace-file F]] [--duration MS]\n"
-      "               [--warmup MS] [--max-apps N] [--seed S]\n"
-      "               [--link-rate GBPS]\n"
-      "               [--noise-sigma S] [--tail-prob P,...] [--tail-mult M]\n"
-      "               [--noise-seed S] [--hedging on|off|both]\n"
-      "               [--hedge-quantile Q] [--hedge-factor F]\n"
-      "               [--lut F.csv | --ccr X --hetero H --lut-seed S]\n"
-      "               [--topology KIND,...  (comma list reruns the grid per\n"
-      "                  fabric — the comm-aware ablation axis)]\n"
-      "               [--bandwidth GBPS] [--latency MS]\n"
-      "               [--jobs N] [--csv F] [--json F]\n"
-      "               [--trace-out F.json] [--trace-max-events N]\n"
-      "               [--trace-every K] [--profile]\n"
-      "  aptsim families\n"
-      "  aptsim lut [--csv F]\n"
-      "  aptsim report [--out-dir D] [--alpha A]\n"
-      "  aptsim policies\n"
-      "  aptsim version | --version\n"
-      "  aptsim [COMMAND] --help | -h\n"
-      "\n"
-      "global: --log-level debug|info|warn|error|off   (default info)\n"
-      "\n"
-      "--trace-out writes a Chrome-trace/Perfetto-loadable JSON timeline\n"
-      "(load it at https://ui.perfetto.dev): one track per processor, one\n"
-      "per link, plus arrival/decision/hedge/retirement instants. --profile\n"
-      "prints hot-path counters/timers (and lands them in stream --json).\n"
-      "Both are inert: the simulated timeline is bit-identical on or off.\n";
+struct Command {
+  const char* name;
+  const char* alias;  ///< a second spelling, or nullptr
+  const char* summary;
+  int (*handler)(const Args&);
+};
+
+const Command kCommands[] = {
+    {"gen", "generate", "generate one DAG and print or save it", cmd_gen},
+    {"families", nullptr, "list the scenario families", cmd_families},
+    {"run", nullptr, "schedule one DAG and report its metrics", cmd_run},
+    {"compare", nullptr, "the paper's policy comparison", cmd_compare},
+    {"sweep", nullptr, "a policy x rate x graph cube, in parallel", cmd_sweep},
+    {"stream", nullptr, "open-system arrivals of DAG instances", cmd_stream},
+    {"lut", nullptr, "print the paper's lookup table", cmd_lut},
+    {"report", nullptr, "regenerate the reproduction bundle", cmd_report},
+    {"policies", nullptr, "list the policy specs", cmd_policies},
+    {"version", "--version", "print the build version", cmd_version},
+};
+
+/// `aptsim --help` lists the subcommands and `aptsim <cmd> --help` that
+/// subcommand's flags, both generated from the tables.
+void print_help(const Command* command) {
+  Record rows;
+  if (command != nullptr) {
+    std::cout << "usage: aptsim " << command->name << " [--flag VALUE ...]\n"
+              << command->summary << "\n\nflags:\n";
+  } else {
+    std::cout << "aptsim — heterogeneous-scheduling simulator (APT "
+                 "reproduction)\n\nusage: aptsim COMMAND [--flag VALUE ...]\n"
+                 "\ncommands:\n";
+    for (const Command& c : kCommands)
+      rows.emplace_back(c.name + (c.alias ? std::string(", ") + c.alias : ""),
+                        c.summary);
+    print_rows(rows);
+    std::cout << "\n`aptsim COMMAND --help` lists its flags and defaults."
+                 "\n\nglobal flags:\n";
+    rows.clear();
+  }
+  for (const Flag* flag : flags_of(command ? command->name : "*")) {
+    rows.emplace_back(std::string("--") + flag->name +
+                          (*flag->metavar ? " " : "") + flag->metavar,
+                      flag->help);
+    if (flag->fallback)
+      rows.back().second += std::string(" (default ") + flag->fallback + ")";
+  }
+  print_rows(rows);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
-    const Args args = parse_args(argc, argv);
-    if (args.help) {
-      usage();
+    const std::string name = argc >= 2 ? argv[1] : "";
+    const Command* command = nullptr;
+    std::vector<std::string> names;
+    for (const Command& c : kCommands) {
+      if (name == c.name || (c.alias && name == c.alias)) command = &c;
+      names.emplace_back(c.name);
+    }
+    if (std::any_of(argv + 1, argv + argc, is_help) || name.empty()) {
+      print_help(command);
       return 0;
     }
+    if (command == nullptr)
+      throw std::invalid_argument("unknown command '" + name + "'" +
+                                  did_you_mean(name, names) +
+                                  "; see aptsim --help");
+    const Args args = parse_flags(command->name, argc, argv);
     // The CLI defaults to info (the library default is warn) so one-shot
     // notices stay visible; --log-level off silences them for scripts.
     util::Logger::instance().set_level(
-        util::parse_log_level(args.get("log-level", "info")));
-    // "generate" is the legacy spelling of "gen"; both take the same flags.
-    if (args.command == "gen" || args.command == "generate")
-      return cmd_gen(args);
-    if (args.command == "families") return cmd_families();
-    if (args.command == "run") return cmd_run(args);
-    if (args.command == "compare") return cmd_compare(args);
-    if (args.command == "sweep") return cmd_sweep(args);
-    if (args.command == "stream") return cmd_stream(args);
-    if (args.command == "lut") return cmd_lut(args);
-    if (args.command == "report") return cmd_report(args);
-    if (args.command == "policies") return cmd_policies();
-    if (args.command == "version" || args.command == "--version")
-      return cmd_version();
-    usage();
-    return args.command.empty() ? 0 : 1;
+        util::parse_log_level(args.str("log-level")));
+    return command->handler(args);
   } catch (const std::exception& e) {
     std::cerr << "aptsim: error: " << e.what() << "\n";
     return 1;

@@ -43,7 +43,7 @@ void AptRanked::on_event(sim::SchedulerContext& ctx) {
       ctx.assign(node, *pmin);
       continue;
     }
-    const sim::TimeMs x = policies::min_exec_time_ms(ctx, node);
+    const sim::TimeMs x = ctx.min_exec_time_ms(node);
     const sim::TimeMs threshold = alpha_ * x;
     std::optional<sim::ProcId> alt;
     sim::TimeMs alt_cost = std::numeric_limits<sim::TimeMs>::infinity();

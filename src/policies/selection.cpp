@@ -2,15 +2,6 @@
 
 namespace apt::policies {
 
-sim::TimeMs min_exec_time_ms(const sim::SchedulerContext& ctx,
-                             dag::NodeId node) {
-  return ctx.min_exec_time_ms(node);
-}
-
-sim::ProcId min_exec_proc(const sim::SchedulerContext& ctx, dag::NodeId node) {
-  return ctx.min_exec_proc(node);
-}
-
 std::optional<sim::ProcId> idle_optimal_proc(const sim::SchedulerContext& ctx,
                                              dag::NodeId node) {
   return idle_optimal_proc_for_row(ctx, ctx.ready_set().row_of(node));
@@ -27,16 +18,6 @@ std::optional<sim::ProcId> idle_optimal_proc_for_row(
     if (exec[p] == best) return p;
   }
   return std::nullopt;
-}
-
-std::optional<sim::ProcId> idle_min_exec_proc(const sim::SchedulerContext& ctx,
-                                              dag::NodeId node) {
-  std::optional<sim::ProcId> best;
-  for (const sim::ProcId p : ctx.idle_processors()) {
-    if (!best || ctx.exec_time_ms(node, p) < ctx.exec_time_ms(node, *best))
-      best = p;
-  }
-  return best;
 }
 
 }  // namespace apt::policies

@@ -11,24 +11,11 @@
 
 namespace apt::policies {
 
-/// Minimum execution time of `node` over *all* processors in the system
-/// (busy or not) — the x of the APT threshold and MET's target.
-sim::TimeMs min_exec_time_ms(const sim::SchedulerContext& ctx,
-                             dag::NodeId node);
-
-/// The processor achieving min_exec_time_ms (ties -> lowest id).
-sim::ProcId min_exec_proc(const sim::SchedulerContext& ctx, dag::NodeId node);
-
 /// An *idle* processor whose execution time for `node` equals the global
 /// minimum (covers systems with several instances of the best category);
 /// nullopt when every optimal processor is busy.
 std::optional<sim::ProcId> idle_optimal_proc(const sim::SchedulerContext& ctx,
                                              dag::NodeId node);
-
-/// The idle processor with the smallest execution time for `node`
-/// (ties -> lowest id); nullopt when nothing is idle.
-std::optional<sim::ProcId> idle_min_exec_proc(const sim::SchedulerContext& ctx,
-                                              dag::NodeId node);
 
 /// An *idle* processor attaining the row's minimum execution time (the
 /// lowest id, as idle_optimal_proc picks for any kernel of the row).

@@ -1,8 +1,10 @@
 #include "util/string_utils.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <stdexcept>
+#include <utility>
 
 namespace apt::util {
 
@@ -39,6 +41,35 @@ bool starts_with(const std::string& s, const std::string& prefix) {
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+std::size_t edit_distance(const std::string& a, const std::string& b) {
+  // Classic two-row dynamic programme; the inputs are a few characters.
+  std::vector<std::size_t> prev(b.size() + 1), cur(b.size() + 1);
+  for (std::size_t j = 0; j <= b.size(); ++j) prev[j] = j;
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    cur[0] = i;
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      const std::size_t sub = prev[j - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
+      cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, sub});
+    }
+    std::swap(prev, cur);
+  }
+  return prev[b.size()];
+}
+
+std::size_t closest_match(const std::string& word,
+                          const std::vector<std::string>& candidates) {
+  std::size_t best = candidates.size();
+  std::size_t best_dist = 3;  // suggest within edit distance 2
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const std::size_t d = edit_distance(word, candidates[i]);
+    if (d < best_dist) {
+      best = i;
+      best_dist = d;
+    }
+  }
+  return best;
 }
 
 std::string join(const std::vector<std::string>& parts, const std::string& sep) {

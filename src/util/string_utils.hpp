@@ -1,6 +1,7 @@
 // Small string helpers used across modules (no locale dependence).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -18,6 +19,16 @@ std::string to_lower(const std::string& s);
 
 bool starts_with(const std::string& s, const std::string& prefix);
 bool ends_with(const std::string& s, const std::string& suffix);
+
+/// Levenshtein distance between two short words (flag names, policy
+/// specs): the measure behind every did-you-mean suggestion.
+std::size_t edit_distance(const std::string& a, const std::string& b);
+
+/// Index of the candidate nearest `word` by edit_distance, if within 2
+/// (typos, not arbitrary words, get a suggestion; the first of equals
+/// wins); candidates.size() when none is that close.
+std::size_t closest_match(const std::string& word,
+                          const std::vector<std::string>& candidates);
 
 /// Joins with a separator.
 std::string join(const std::vector<std::string>& parts, const std::string& sep);

@@ -3,10 +3,14 @@
 // by CMake as APTSIM_PATH.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "dag/serialize.hpp"
 #include "lut/lookup_table.hpp"
@@ -16,10 +20,11 @@ namespace {
 
 std::string quoted(const std::string& s) { return "\"" + s + "\""; }
 
-int run_cli(const std::string& args, const std::string& stdout_file = "") {
+int run_cli(const std::string& args, const std::string& stdout_file = "",
+            const std::string& stderr_file = "") {
   std::string cmd = std::string(APTSIM_PATH) + " " + args;
   if (!stdout_file.empty()) cmd += " > " + quoted(stdout_file);
-  cmd += " 2>/dev/null";
+  cmd += " 2>" + (stderr_file.empty() ? "/dev/null" : quoted(stderr_file));
   return std::system(cmd.c_str());
 }
 
@@ -43,6 +48,70 @@ TEST(Cli, HelpPrintsUsageAndSucceeds) {
     EXPECT_NE(slurp(out).find("usage:"), std::string::npos) << spelling;
   }
   std::filesystem::remove(out);
+}
+
+TEST(Cli, SubcommandHelpListsOnlyItsFlags) {
+  const std::string out = ::testing::TempDir() + "/aptsim_cmd_help.txt";
+  ASSERT_EQ(run_cli("run --help", out), 0);
+  std::string text = slurp(out);
+  EXPECT_NE(text.find("--gantt"), std::string::npos);
+  EXPECT_EQ(text.find("--hedging"), std::string::npos);
+  EXPECT_NE(text.find("--policy SPEC"), std::string::npos);
+  EXPECT_NE(text.find("(default apt:4)"), std::string::npos);
+  ASSERT_EQ(run_cli("stream --help", out), 0);
+  text = slurp(out);
+  EXPECT_NE(text.find("--hedging"), std::string::npos);
+  EXPECT_EQ(text.find("--gantt"), std::string::npos);
+  EXPECT_NE(text.find("(default apt:4,met,spn,ag)"), std::string::npos);
+  std::filesystem::remove(out);
+}
+
+TEST(Cli, EveryHelpListsEachFlagOnce) {
+  // Shared flag groups must not give a subcommand two entries of one name
+  // (the parser would only ever match the first).
+  const std::string out = ::testing::TempDir() + "/aptsim_help_once.txt";
+  for (const std::string command :
+       {"gen", "families", "run", "compare", "sweep", "stream", "lut", "report",
+        "policies", "version"}) {
+    ASSERT_EQ(run_cli(command + " --help", out), 0) << command;
+    std::istringstream lines(slurp(out));
+    std::vector<std::string> flags;
+    for (std::string line; std::getline(lines, line);)
+      if (line.rfind("  --", 0) == 0)
+        flags.push_back(line.substr(2, line.find(' ', 2) - 2));
+    EXPECT_GE(flags.size(), 2u) << command;  // --log-level, --help
+    std::sort(flags.begin(), flags.end());
+    EXPECT_EQ(std::adjacent_find(flags.begin(), flags.end()), flags.end())
+        << command;
+  }
+  std::filesystem::remove(out);
+}
+
+TEST(Cli, UnknownMisplacedRepeatedOrMalformedFlagsFail) {
+  // Each case used to be ignored (or, for compare --type 3, to print a
+  // Type-2 table); now it exits non-zero with one error line naming the
+  // offending flag.
+  const std::string err = ::testing::TempDir() + "/aptsim_flag_err.txt";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"run --polcy met --type 1 --kernels 10", "did you mean --policy?"},
+      {"sweep --type 1 --policies met --rates 4 --noise-sigma 0.5",
+       "--noise-sigma for 'sweep'"},
+      {"run --policy met --policy apt:4 --type 1 --kernels 10",
+       "--policy given more than once"},
+      {"compare --type 3", "--type"},
+      {"run --policy met --gantt yes", "--gantt takes no value"},
+      {"run --policy met --csv --gantt", "--csv needs a value"},
+      {"stream --rate 0.01,x --duration 100", "--rate"},
+      {"families --kernels 4", "--kernels for 'families'"},
+  };
+  for (const auto& [args, message] : cases) {
+    EXPECT_NE(run_cli(args, "", err), 0) << args;
+    const std::string text = slurp(err);
+    EXPECT_EQ(text.rfind("aptsim: error: ", 0), 0u) << args << ": " << text;
+    EXPECT_NE(text.find(message), std::string::npos) << args << ": " << text;
+    EXPECT_EQ(text.find('\n'), text.size() - 1) << args << ": " << text;
+  }
+  std::filesystem::remove(err);
 }
 
 TEST(Cli, UnknownCommandFails) {

@@ -118,10 +118,9 @@ TEST(SelectionHelpers, MinExecAcrossAllProcessors) {
     bool is_dynamic() const override { return true; }
     void on_event(sim::SchedulerContext& ctx) override {
       if (ctx.ready().empty()) return;  // final post-completion event
-      EXPECT_DOUBLE_EQ(min_exec_time_ms(ctx, 0), 2.0);
-      EXPECT_EQ(min_exec_proc(ctx, 0), 1u);
+      EXPECT_DOUBLE_EQ(ctx.min_exec_time_ms(0), 2.0);
+      EXPECT_EQ(ctx.min_exec_proc(0), 1u);
       EXPECT_EQ(idle_optimal_proc(ctx, 0), std::optional<sim::ProcId>(1));
-      EXPECT_EQ(idle_min_exec_proc(ctx, 0), std::optional<sim::ProcId>(1));
       ctx.assign(0, 1);
     }
   };

@@ -29,6 +29,25 @@ TEST(Affixes, StartsEndsWith) {
   EXPECT_FALSE(ends_with("dot", ".dot"));
 }
 
+TEST(EditDistance, CountsSingleCharacterEdits) {
+  EXPECT_EQ(edit_distance("policy", "policy"), 0u);
+  EXPECT_EQ(edit_distance("polcy", "policy"), 1u);  // insertion
+  EXPECT_EQ(edit_distance("policies", "policy"), 3u);
+  EXPECT_EQ(edit_distance("ag", "ga"), 2u);  // no transpositions
+  EXPECT_EQ(edit_distance("", "met"), 3u);
+  EXPECT_EQ(edit_distance("spn", ""), 3u);
+}
+
+TEST(ClosestMatch, SuggestsOnlyNearCandidates) {
+  const std::vector<std::string> names = {"--policy", "--policies", "--gantt"};
+  EXPECT_EQ(closest_match("--polcy", names), 0u);
+  EXPECT_EQ(closest_match("--policie", names), 1u);
+  EXPECT_EQ(closest_match("--gant", names), 2u);
+  EXPECT_EQ(closest_match("--hedging", names), names.size());  // too far
+  EXPECT_EQ(closest_match("ab", {"aa", "bb"}), 0u);  // first of equals
+  EXPECT_EQ(closest_match("met", {}), 0u);
+}
+
 TEST(Join, WithSeparator) {
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(join({}, ","), "");
