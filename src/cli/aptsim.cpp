@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -311,7 +312,20 @@ lut::LookupTable table_from_args(const Args& args, double link_rate_gbps) {
   return lut::paper_lookup_table();
 }
 
+/// Rejects each of `flags` that was given: it means nothing in the mode
+/// the other flags select (`why` says which), and dropping it silently
+/// would hide a mistake.
+void reject_flags(const Args& args, std::initializer_list<const char*> flags,
+                  const std::string& why) {
+  for (const char* name : flags)
+    if (args.has(name))
+      throw std::invalid_argument(std::string("--") + name + " " + why);
+}
+
 dag::Dag graph_from_args(const Args& args, const dag::KernelPool& pool) {
+  if (args.has("graph"))
+    reject_flags(args, {"family", "type", "kernels"},
+                 "does not apply to a loaded --graph");
   dag::Dag graph = [&] {
     if (args.has("graph")) return dag::load_text_file(args.str("graph"));
     const auto n = static_cast<std::size_t>(args.u64("kernels"));
@@ -609,6 +623,9 @@ int cmd_sweep(const Args& args) {
   // Workload axis: the paper's ten graphs of --type, or a generated
   // scenario cube of --family (where Type1 merely labels the Grid slices).
   const bool family_mode = args.has("family");
+  if (!family_mode)
+    reject_flags(args, {"graphs", "kernels", "ccr", "hetero", "lut-seed"},
+                 "applies only with --family (the --type graphs are fixed)");
   const dag::DfgType dfg =
       family_mode ? dag::DfgType::Type1 : dfg_type_from_args(args);
 

@@ -22,6 +22,8 @@ const char* to_string(Counter counter) noexcept {
       return "arrivals";
     case Counter::kRetirements:
       return "retirements";
+    case Counter::kQueueFolds:
+      return "queue_folds";
     case Counter::kCount:
       break;
   }

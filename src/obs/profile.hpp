@@ -35,6 +35,7 @@ enum class Counter : std::size_t {
   kTransfersStarted,  ///< fabric messages created
   kArrivals,          ///< stream admissions
   kRetirements,       ///< stream retirements
+  kQueueFolds,        ///< exact queued_work_ms folds over a proc queue
   kCount
 };
 

@@ -32,24 +32,54 @@ void AdaptiveGreedy::on_event(sim::SchedulerContext& ctx) {
   const sim::ReadySet& ready = ctx.ready_set();
   for (dag::NodeId node = ready.front(); node != dag::kInvalidNode;) {
     const dag::NodeId next = ready.next(node);
-    sim::ProcId best = 0;
-    sim::TimeMs best_tau = 0.0;
-    for (sim::ProcId proc = 0; proc < ctx.system().proc_count(); ++proc) {
-      // τ_g^d: comm-blind AG plans against the unloaded route (stall_ms,
-      // the legacy scalar); AG-net adds the predicted link backlog — the
-      // fabric analogue of τ_g^q.
-      const sim::TransferEstimate est = ctx.transfer_estimate(node, proc);
-      const sim::TimeMs tau =
-          queue_delay_ms(ctx, proc) +
-          (options_.comm_aware ? est.total_ms() : est.stall_ms);
-      if (proc == 0 || tau < best_tau) {
-        best = proc;
-        best_tau = tau;
-      }
-    }
-    ctx.enqueue(node, best);
+    ctx.enqueue(node, choose(ctx, node));
     node = next;
   }
+}
+
+sim::ProcId AdaptiveGreedy::choose(const sim::SchedulerContext& ctx,
+                                   dag::NodeId node) {
+  const sim::ProcId procs = ctx.system().proc_count();
+  transfer_.resize(procs);
+  for (sim::ProcId proc = 0; proc < procs; ++proc) {
+    // τ_g^d: comm-blind AG plans against the unloaded route (stall_ms,
+    // the legacy scalar); AG-net adds the predicted link backlog — the
+    // fabric analogue of τ_g^q.
+    const sim::TransferEstimate est = ctx.transfer_estimate(node, proc);
+    transfer_[proc] = options_.comm_aware ? est.total_ms() : est.stall_ms;
+  }
+  if (options_.estimate == AgQueueEstimate::SumOfQueued) {
+    // The filter (see ag.hpp): certify the first smallest τ_hi from the
+    // O(1) bounds, or fall through to the folds.
+    tau_lo_.resize(procs);
+    sim::ProcId cand = 0;
+    sim::TimeMs cand_hi = 0.0;
+    for (sim::ProcId proc = 0; proc < procs; ++proc) {
+      const sim::SchedulerContext::WorkBounds b = ctx.queued_work_bounds(proc);
+      tau_lo_[proc] = b.lo + transfer_[proc];
+      const sim::TimeMs tau_hi = b.hi + transfer_[proc];
+      if (proc == 0 || tau_hi < cand_hi) {
+        cand = proc;
+        cand_hi = tau_hi;
+      }
+    }
+    bool certified = true;
+    for (sim::ProcId proc = 0; proc < procs && certified; ++proc) {
+      if (proc < cand) certified = tau_lo_[proc] > cand_hi;
+      if (proc > cand) certified = tau_lo_[proc] >= cand_hi;
+    }
+    if (certified) return cand;
+  }
+  sim::ProcId best = 0;
+  sim::TimeMs best_tau = 0.0;
+  for (sim::ProcId proc = 0; proc < procs; ++proc) {
+    const sim::TimeMs tau = queue_delay_ms(ctx, proc) + transfer_[proc];
+    if (proc == 0 || tau < best_tau) {
+      best = proc;
+      best_tau = tau;
+    }
+  }
+  return best;
 }
 
 }  // namespace apt::policies

@@ -17,9 +17,22 @@
 // rates — AG's queue-length idea applied to the fabric as well as the
 // processors. On an ideal topology the queueing term is always 0, so
 // AG-net degenerates to AG bit-for-bit.
+//
+// SumOfQueued without the O(queue) fold. The exact rule picks the first
+// processor with the smallest τ = fl(queued_work_ms + t), t the transfer
+// term. AG first reads SchedulerContext::queued_work_bounds, O(1) bounds
+// lo <= queued_work_ms <= hi, and forms τ_lo = fl(lo + t) and τ_hi =
+// fl(hi + t); rounding to nearest is monotone, so τ_lo <= τ <= τ_hi. Let c
+// be the first processor with the smallest τ_hi. When every lower-indexed
+// processor has τ_lo > τ_hi[c] and every higher-indexed one τ_lo >=
+// τ_hi[c], c is exactly the processor the exact rule picks, and AG commits
+// it. Otherwise (a near-tie within the bounds' O(ulp·queue) width) AG runs
+// the exact rule over the folds. Decisions are bit-identical either way;
+// RecentAverage has no fold and always takes the exact rule.
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "sim/policy.hpp"
 
@@ -52,8 +65,12 @@ class AdaptiveGreedy final : public sim::Policy {
  private:
   sim::TimeMs queue_delay_ms(const sim::SchedulerContext& ctx,
                              sim::ProcId proc) const;
+  /// The processor `node` goes to: argmin τ, first on ties.
+  sim::ProcId choose(const sim::SchedulerContext& ctx, dag::NodeId node);
 
   AgOptions options_;
+  std::vector<sim::TimeMs> transfer_;  ///< t per processor, reused
+  std::vector<sim::TimeMs> tau_lo_;    ///< τ_lo per processor, reused
 };
 
 }  // namespace apt::policies

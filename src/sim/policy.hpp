@@ -75,8 +75,28 @@ class SchedulerContext {
 
   /// Remaining work committed to the processor: remaining time of the
   /// running kernel plus execution times of everything queued — AG's
-  /// queueing-delay estimate.
+  /// queueing-delay estimate. A left fold over the queue, O(queue); a
+  /// profiled run counts each call as queue_folds.
   virtual TimeMs queued_work_ms(ProcId proc) const = 0;
+
+  /// Certified bounds on queued_work_ms(proc): lo <= queued_work_ms(proc)
+  /// <= hi, bit for bit, without the fold. The engine keeps a running sum
+  /// of the queued times plus a bound on its rounding error, and widens
+  /// the O(1) estimate by that error and by the recursive-summation error
+  /// of the fold itself (Higham, Accuracy and Stability of Numerical
+  /// Algorithms, §4.2), so the interval is O(ulp·queue) wide. An idle
+  /// processor and one with an empty queue get lo == hi == the exact
+  /// value. A caller decides on the bounds when they settle its
+  /// comparison and calls queued_work_ms() only when they do not — the
+  /// floating-point-filter pattern. This default is the exact fold twice.
+  struct WorkBounds {
+    TimeMs lo = 0.0;
+    TimeMs hi = 0.0;
+  };
+  virtual WorkBounds queued_work_bounds(ProcId proc) const {
+    const TimeMs exact = queued_work_ms(proc);
+    return {exact, exact};
+  }
 
   /// Mean execution time of the most recent `k` kernels completed on the
   /// processor (Eq. 2's τ_g^k); 0 when the processor has no history. The

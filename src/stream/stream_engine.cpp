@@ -222,15 +222,32 @@ class Context final : public sim::SchedulerContext {
   }
 
   sim::TimeMs queued_work_ms(sim::ProcId proc) const override {
+    if (profile_) profile_->add(obs::Counter::kQueueFolds);
     const ProcState& ps = proc_state_.at(proc);
-    sim::TimeMs work = 0.0;
-    if (ps.running) {
-      const NodeState& rs = node_state_[*ps.running];
-      work += rs.exec_started ? std::max(0.0, rs.record.finish_time - now_)
-                              : rs.record.exec_ms;
-    }
+    sim::TimeMs work = running_remainder_ms(ps);
     for (const QueuedKernel& q : ps.queue) work += q.exec_ms;
     return work;
+  }
+
+  // The fold above is F = fl(..fl(r + x1).. + xn): n roundings of n + 1
+  // non-negative terms, so |F - E| <= γ_n·E for the exact sum E = r + Q
+  // (Higham §4.2; γ_k = k·u / (1 - k·u)). ProcState keeps q ≈ Q with
+  // |q - Q| <= queued_err, and S = fl(r + q) adds one more rounding, so
+  // |F - S| <= queued_err·(1 + γ_n) + (γ_n + u)·|r + q|
+  //         <= queued_err + γ_{n+1}·(|S| + queued_err), up to factors
+  // 1 + O(n·u). The 2 absorbs those and the rounding of the slack itself;
+  // lo/hi then bracket F because rounding to nearest is monotone and F is
+  // a double. (Exec times are normal doubles, so nothing underflows.)
+  WorkBounds queued_work_bounds(sim::ProcId proc) const override {
+    const ProcState& ps = proc_state_.at(proc);
+    const sim::TimeMs r = running_remainder_ms(ps);
+    if (ps.queue.empty()) return {r, r};
+    const sim::TimeMs s = r + ps.queued_sum;
+    const double n1u = static_cast<double>(ps.queue.size() + 1) * kUnitRoundoff;
+    const double gamma = n1u / (1.0 - n1u);
+    const sim::TimeMs slack =
+        2.0 * (ps.queued_err + gamma * (std::abs(s) + ps.queued_err));
+    return {s - slack, s + slack};
   }
 
   sim::TimeMs recent_avg_exec_ms(sim::ProcId proc,
@@ -324,7 +341,7 @@ class Context final : public sim::SchedulerContext {
     ns.record.assign_time = now_ + system_.config().decision_overhead_ms;
     ns.record.alternative = alternative;
     ns.enqueued_at = now_;
-    proc_state_.at(proc).queue.push_back({slot, exec_time_ms(slot, proc)});
+    proc_state_.at(proc).push({slot, exec_time_ms(slot, proc)});
     idle_dirty_ = true;
     // The destination is fixed, so contended input data starts moving now
     // and may prefetch while the kernel waits in the queue.
@@ -418,11 +435,48 @@ class Context final : public sim::SchedulerContext {
     sim::TimeMs exec_ms;
   };
 
+  /// Unit roundoff u of double arithmetic (round to nearest).
+  static constexpr double kUnitRoundoff =
+      std::numeric_limits<double>::epsilon() / 2;
+
   struct ProcState {
     std::optional<dag::NodeId> running;
-    std::deque<QueuedKernel> queue;
+    std::deque<QueuedKernel> queue;  ///< changed only by push() and pop()
+    /// Running Σ queue[i].exec_ms, and a bound on its rounding error:
+    /// each += / -= rounds by at most u·|sum ± x| <= u·(|sum| + x). Both
+    /// reset to exactly 0 when the queue empties, so the error never
+    /// outlives a busy period. queued_work_bounds() reads them.
+    sim::TimeMs queued_sum = 0.0;
+    sim::TimeMs queued_err = 0.0;
     std::deque<sim::TimeMs> exec_history;  ///< newest at the back, capped
+
+    void push(const QueuedKernel& q) {
+      queue.push_back(q);
+      queued_err += kUnitRoundoff * (std::abs(queued_sum) + q.exec_ms);
+      queued_sum += q.exec_ms;
+    }
+    QueuedKernel pop() {
+      const QueuedKernel head = queue.front();
+      queue.pop_front();
+      if (queue.empty()) {
+        queued_sum = 0.0;
+        queued_err = 0.0;
+      } else {
+        queued_err += kUnitRoundoff * (std::abs(queued_sum) + head.exec_ms);
+        queued_sum -= head.exec_ms;
+      }
+      return head;
+    }
   };
+
+  /// Remaining time of the processor's running kernel (0 when none): the
+  /// first term of the queued_work_ms() fold.
+  sim::TimeMs running_remainder_ms(const ProcState& ps) const {
+    if (!ps.running) return 0.0;
+    const NodeState& rs = node_state_[*ps.running];
+    return rs.exec_started ? std::max(0.0, rs.record.finish_time - now_)
+                           : rs.record.exec_ms;
+  }
 
   /// Immutable per-shape data shared by every live instance whose DAG is
   /// structurally identical: the canonical graph, its densified cost
@@ -821,9 +875,7 @@ class Context final : public sim::SchedulerContext {
     for (sim::ProcId p = 0; p < proc_state_.size(); ++p) {
       ProcState& ps = proc_state_[p];
       if (ps.running.has_value() || ps.queue.empty()) continue;
-      const QueuedKernel next = ps.queue.front();
-      ps.queue.pop_front();
-      start_queued_kernel(next, p);
+      start_queued_kernel(ps.pop(), p);
     }
   }
 

@@ -103,6 +103,19 @@ TEST(Cli, UnknownMisplacedRepeatedOrMalformedFlagsFail) {
       {"run --policy met --csv --gantt", "--csv needs a value"},
       {"stream --rate 0.01,x --duration 100", "--rate"},
       {"families --kernels 4", "--kernels for 'families'"},
+      // Mode-dependent flags: meaningless in the mode the others select.
+      {"run --graph g.txt --policy met --family cholesky --kernels 99 "
+       "--type 2",
+       "--family does not apply to a loaded --graph"},
+      {"gen --graph g.txt --kernels 12", "--kernels does not apply"},
+      {"run --graph g.txt --type 2", "--type does not apply"},
+      {"sweep --type 1 --policies met --rates 4 --kernels 24 --graphs 3 "
+       "--ccr 8",
+       "--graphs applies only with --family"},
+      {"sweep --type 1 --policies met --rates 4 --hetero 8",
+       "--hetero applies only with --family"},
+      {"sweep --type 1 --policies met --rates 4 --lut-seed 2",
+       "--lut-seed applies only with --family"},
   };
   for (const auto& [args, message] : cases) {
     EXPECT_NE(run_cli(args, "", err), 0) << args;

@@ -1,5 +1,7 @@
 // Differential test: the cost-row-bucketed MET, APT (every variant) and
-// SPN against the plain FIFO scans they replaced.
+// SPN against the plain FIFO scans they replaced, and AG/AG-net, which
+// decide on O(1) bounds of each processor's queued work, against the
+// exact fold over every queue.
 //
 // The reference policies below are the front-to-back scans over a snapshot
 // of the ready set, querying the scheduler context per kernel. The
@@ -7,7 +9,8 @@
 // the same decisions, at the same instants, in the same order, and so
 // produce the same schedules bit for bit — over closed cells of every DAG
 // family on an ideal and a contended fabric, with noise on and off, with
-// hedging, and over deep stream bursts.
+// hedging, and over deep stream bursts. A probe then checks the bounds
+// themselves on every processor at every pass.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +19,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,8 +27,10 @@
 #include "core/apt.hpp"
 #include "dag/generator.hpp"
 #include "lut/paper_data.hpp"
+#include "lut/synthetic.hpp"
 #include "net/topology.hpp"
 #include "obs/trace_sink.hpp"
+#include "policies/ag.hpp"
 #include "policies/met.hpp"
 #include "policies/selection.hpp"
 #include "policies/spn.hpp"
@@ -131,6 +137,35 @@ class FifoApt final : public sim::Policy {
   std::optional<double> mq_;  ///< m_q, fixed per run
 };
 
+/// AG's exact rule, folding every queue: τ = queued_work_ms + t on every
+/// processor, the first smallest wins.
+class FoldAg final : public sim::Policy {
+ public:
+  explicit FoldAg(bool comm_aware) : comm_aware_(comm_aware) {}
+  std::string name() const override { return "fold-AG"; }
+  bool is_dynamic() const override { return true; }
+  void on_event(sim::SchedulerContext& ctx) override {
+    for (const dag::NodeId node : ctx.ready()) {
+      sim::ProcId best = 0;
+      sim::TimeMs best_tau = 0.0;
+      for (sim::ProcId proc = 0; proc < ctx.system().proc_count(); ++proc) {
+        const sim::TransferEstimate est = ctx.transfer_estimate(node, proc);
+        const sim::TimeMs tau =
+            ctx.queued_work_ms(proc) +
+            (comm_aware_ ? est.total_ms() : est.stall_ms);
+        if (proc == 0 || tau < best_tau) {
+          best = proc;
+          best_tau = tau;
+        }
+      }
+      ctx.enqueue(node, best);
+    }
+  }
+
+ private:
+  bool comm_aware_;
+};
+
 // --- the policy pairs under test ---------------------------------------------
 
 struct Pair {
@@ -169,6 +204,14 @@ std::vector<Pair> all_pairs() {
   core::AptOptions nt;
   nt.transfer_aware = false;
   pairs.push_back(apt_pair("apt-no-transfer:4", nt));
+  for (const bool comm_aware : {false, true}) {
+    policies::AgOptions ag;
+    ag.comm_aware = comm_aware;
+    pairs.push_back(
+        {comm_aware ? "ag-net" : "ag",
+         [ag] { return std::make_unique<policies::AdaptiveGreedy>(ag); },
+         [comm_aware] { return std::make_unique<FoldAg>(comm_aware); }});
+  }
   return pairs;
 }
 
@@ -351,7 +394,8 @@ TEST(BucketedPolicies, DeepBurstMatchesTheFifoScan) {
   for (const Pair& pair : all_pairs()) {
     // The headline policies get the full burst; the variants a shorter one.
     const bool headline = pair.name == "met" || pair.name == "spn" ||
-                          pair.name == "apt:4";
+                          pair.name == "apt:4" || pair.name == "ag" ||
+                          pair.name == "ag-net";
     const std::size_t apps = headline ? kBurstApps : 60;
     const auto bucketed = pair.bucketed();
     const auto reference = pair.reference();
@@ -371,6 +415,128 @@ TEST(BucketedPolicies, NoisyContendedStreamsMatchTheFifoScan) {
                   pair.name + " " + family + " mesh:2x2 noise=1");
     }
   }
+}
+
+// --- the queued-work bounds --------------------------------------------------
+
+/// Enqueues I round-robin over every processor, whatever the load, so each
+/// queue mixes short and long kernels: the worst case for cancellation in
+/// the engine's running sums.
+class RoundRobinEnqueue final : public sim::Policy {
+ public:
+  std::string name() const override { return "round-robin"; }
+  bool is_dynamic() const override { return true; }
+  void on_event(sim::SchedulerContext& ctx) override {
+    for (const dag::NodeId node : ctx.ready())
+      ctx.enqueue(node, next_++ % ctx.system().proc_count());
+  }
+
+ private:
+  sim::ProcId next_ = 0;
+};
+
+/// Starts each ready kernel on an idle processor when there is one (often
+/// the kernel's slow category) and otherwise queues it on its fastest: a
+/// long running kernel ahead of a queue of short ones, where the fold's
+/// own rounding, not the running sum's, dominates the bound.
+class IdleElseFastest final : public sim::Policy {
+ public:
+  std::string name() const override { return "idle-else-fastest"; }
+  bool is_dynamic() const override { return true; }
+  void on_event(sim::SchedulerContext& ctx) override {
+    for (const dag::NodeId node : ctx.ready()) {
+      const std::vector<sim::ProcId>& idle = ctx.idle_processors();
+      if (!idle.empty())
+        ctx.assign(node, idle.front());
+      else
+        ctx.enqueue(node, ctx.min_exec_proc(node));
+    }
+  }
+};
+
+/// Runs `inner`, checking before and after each of its passes that
+/// queued_work_bounds brackets the exact fold on every processor and is
+/// exactly 0 on idle ones.
+class BoundsProbe final : public sim::Policy {
+ public:
+  explicit BoundsProbe(std::unique_ptr<sim::Policy> inner)
+      : inner_(std::move(inner)) {}
+  std::string name() const override { return "probe-" + inner_->name(); }
+  bool is_dynamic() const override { return true; }
+  void on_event(sim::SchedulerContext& ctx) override {
+    check(ctx);
+    inner_->on_event(ctx);
+    check(ctx);
+  }
+
+  std::size_t deep_checks = 0;  ///< checks of a queue of >= 2 kernels
+  std::string first_failure;    ///< empty while every check held
+
+ private:
+  void check(const sim::SchedulerContext& ctx) {
+    for (sim::ProcId p = 0; p < ctx.system().proc_count(); ++p) {
+      const sim::SchedulerContext::WorkBounds b = ctx.queued_work_bounds(p);
+      const sim::TimeMs exact = ctx.queued_work_ms(p);
+      if (ctx.queue_length(p) >= 2) ++deep_checks;
+      const bool ok = b.lo <= exact && exact <= b.hi &&
+                      (!ctx.is_idle(p) || (b.lo == 0.0 && b.hi == 0.0));
+      if (!ok && first_failure.empty()) {
+        std::ostringstream out;
+        out.precision(17);
+        out << "t=" << ctx.now() << " proc " << p << ": [" << b.lo << ", "
+            << b.hi << "] vs " << exact;
+        first_failure = out.str();
+      }
+    }
+  }
+
+  std::unique_ptr<sim::Policy> inner_;
+};
+
+void expect_bounds_hold(std::unique_ptr<sim::Policy> inner,
+                        const lut::LookupTable& table, std::size_t apps) {
+  const sim::System system = make_system("ideal");
+  const sim::LutCostModel cost(table, system);
+  const dag::KernelPool pool = dag::KernelPool::from_lookup_table(table);
+  BoundsProbe probe(std::move(inner));
+  stream::StreamOptions opts;
+  opts.arrivals = stream::ArrivalSpec::poisson(0.005, 3);
+  opts.max_apps = apps;
+  stream::StreamEngine engine(
+      system, cost,
+      [&](std::size_t i) {
+        return scenario::generate("type1", 46, 100 + i % 8, pool);
+      },
+      opts);
+  const std::string cell = probe.name() + " x" + std::to_string(apps);
+  EXPECT_EQ(engine.run(probe).metrics.apps_completed, apps) << cell;
+  EXPECT_TRUE(probe.first_failure.empty()) << cell << ": "
+                                           << probe.first_failure;
+  EXPECT_GT(probe.deep_checks, 0u) << cell;
+}
+
+TEST(QueuedWorkBounds, BracketTheFoldOnAPaperBurst) {
+  const lut::LookupTable table = lut::paper_lookup_table();
+  expect_bounds_hold(std::make_unique<policies::AdaptiveGreedy>(), table,
+                     kBurstApps);
+  expect_bounds_hold(std::make_unique<RoundRobinEnqueue>(), table, 60);
+}
+
+TEST(QueuedWorkBounds, BracketTheFoldUnderCancellation) {
+  // Rows whose slowest category is 10^6 times the fastest, over base
+  // times spread 10^3 apart: a queue's running sum adds and removes
+  // kernels nine orders of magnitude apart.
+  lut::SyntheticLutSpec spec;
+  spec.heterogeneity = 1e6;
+  spec.spread = 1e3;
+  spec.seed = 7;
+  const lut::LookupTable table = lut::synthetic_lookup_table(spec);
+  expect_bounds_hold(std::make_unique<RoundRobinEnqueue>(), table, 60);
+  expect_bounds_hold(std::make_unique<IdleElseFastest>(), table, 60);
+  policies::AgOptions net;
+  net.comm_aware = true;
+  expect_bounds_hold(std::make_unique<policies::AdaptiveGreedy>(net), table,
+                     kBurstApps);
 }
 
 }  // namespace
