@@ -985,7 +985,6 @@ int cmd_stream(const Args& args) {
             "tm_solver",
             json_object({{"full", std::to_string(tm.full_solves)},
                          {"incremental", std::to_string(tm.incremental_solves)},
-                         {"fallback", std::to_string(tm.fallback_solves)},
                          {"flows_resolved", std::to_string(tm.flows_resolved)},
                          {"flows_active", std::to_string(tm.flows_active)}}));
         if (!m.profile.empty())
@@ -1069,7 +1068,9 @@ int cmd_policies(const Args& /*args*/) {
   for (const auto& info : core::policy_registry())
     rows.emplace_back(
         info.usage,
-        (info.dynamic ? "dynamic  " : "static   ") + info.summary +
+        (core::make_policy(info.head)->is_dynamic() ? "dynamic  "
+                                                     : "static   ") +
+            info.summary +
             (info.aliases.empty()
                  ? ""
                  : " [aka " + util::join(info.aliases, ", ") + "]"));

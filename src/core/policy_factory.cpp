@@ -53,8 +53,7 @@ const std::vector<Entry>& registry() {
     };
     t.push_back({{"apt", {}, "apt[:alpha]",
                   "Alternative Processor within Threshold (the paper's "
-                  "policy; alpha >= 1, default 4)",
-                  true},
+                  "policy; alpha >= 1, default 4)"},
                  "alpha",
                  {},
                  [alpha_of](const std::string& arg) {
@@ -63,7 +62,7 @@ const std::vector<Entry>& registry() {
     t.push_back({{"apt-c", {"aptc"}, "apt-c[:alpha]",
                   "APT pricing transfers with predicted link backlog "
                   "(TransferEstimate::total_ms); == APT on ideal fabrics",
-                  true, true},
+                  true},
                  "alpha",
                  {},
                  [alpha_of](const std::string& arg) {
@@ -74,8 +73,7 @@ const std::vector<Entry>& registry() {
                  }});
     t.push_back({{"apt-q", {"aptq"}, "apt-q[:alpha]",
                   "APT ranking by the p95 cost quantile under the run's "
-                  "noise spec; == APT-C when noise is off",
-                  true, true},
+                  "noise spec; == APT-C when noise is off", true},
                  "alpha",
                  {},
                  [alpha_of](const std::string& arg) {
@@ -87,36 +85,33 @@ const std::vector<Entry>& registry() {
                  }});
     t.push_back({{"apt-r", {"aptr"}, "apt-r[:alpha]",
                   "APT with the remaining-time extension (waits when "
-                  "draining p_min beats the alternative)",
-                  true},
+                  "draining p_min beats the alternative)"},
                  "alpha",
                  {},
                  [alpha_of](const std::string& arg) {
                    return std::make_unique<AptRemaining>(alpha_of(arg));
                  }});
     t.push_back({{"apt-ranked", {"aptranked"}, "apt-ranked[:alpha]",
-                  "APT serving the ready set in HEFT upward-rank order",
-                  true},
+                  "APT serving the ready set in HEFT upward-rank order"},
                  "alpha",
                  {},
                  [alpha_of](const std::string& arg) {
                    return std::make_unique<AptRanked>(alpha_of(arg));
                  }});
     t.push_back({{"met", {}, "met",
-                  "Minimum Execution Time (waits for the best processor)",
-                  true},
+                  "Minimum Execution Time (waits for the best processor)"},
                  "",
                  {},
                  [](const std::string&) {
                    return std::make_unique<policies::Met>();
                  }});
-    t.push_back({{"spn", {}, "spn", "Shortest Process Next", true},
+    t.push_back({{"spn", {}, "spn", "Shortest Process Next"},
                  "",
                  {},
                  [](const std::string&) {
                    return std::make_unique<policies::Spn>();
                  }});
-    t.push_back({{"ss", {}, "ss", "Serial Scheduling (one processor)", true},
+    t.push_back({{"ss", {}, "ss", "Serial Scheduling (one processor)"},
                  "",
                  {},
                  [](const std::string&) {
@@ -124,8 +119,7 @@ const std::vector<Entry>& registry() {
                  }});
     t.push_back({{"ag", {}, "ag[:recent]",
                   "Adaptive Greedy FIFO queues (sum-of-queued estimator; "
-                  ":recent for the Eq. (2) rolling average)",
-                  true},
+                  ":recent for the Eq. (2) rolling average)"},
                  "",
                  {"ag:recent"},
                  [](const std::string& arg) {
@@ -141,8 +135,7 @@ const std::vector<Entry>& registry() {
     t.push_back({{"ag-net", {"agnet"}, "ag-net[:recent]",
                   "Adaptive Greedy with fabric-backlog-aware transfer "
                   "delay (TransferEstimate::total_ms); == AG on ideal "
-                  "fabrics",
-                  true, true},
+                  "fabrics", true},
                  "",
                  {},
                  [](const std::string& arg) {
@@ -155,14 +148,14 @@ const std::vector<Entry>& registry() {
                    throw std::invalid_argument(
                        "make_policy: unknown AG variant '" + arg + "'");
                  }});
-    t.push_back({{"olb", {}, "olb", "Opportunistic Load Balancing", true},
+    t.push_back({{"olb", {}, "olb", "Opportunistic Load Balancing"},
                  "",
                  {},
                  [](const std::string&) {
                    return std::make_unique<policies::Olb>();
                  }});
     t.push_back({{"minmin", {"min-min"}, "minmin",
-                  "Min-Min batch heuristic (Braun et al.)", true},
+                  "Min-Min batch heuristic (Braun et al.)"},
                  "",
                  {},
                  [](const std::string&) {
@@ -170,7 +163,7 @@ const std::vector<Entry>& registry() {
                        policies::BatchRule::MinMin);
                  }});
     t.push_back({{"maxmin", {"max-min"}, "maxmin",
-                  "Max-Min batch heuristic (Braun et al.)", true},
+                  "Max-Min batch heuristic (Braun et al.)"},
                  "",
                  {},
                  [](const std::string&) {
@@ -178,7 +171,7 @@ const std::vector<Entry>& registry() {
                        policies::BatchRule::MaxMin);
                  }});
     t.push_back({{"sufferage", {}, "sufferage",
-                  "Sufferage batch heuristic (Braun et al.)", true},
+                  "Sufferage batch heuristic (Braun et al.)"},
                  "",
                  {},
                  [](const std::string&) {
@@ -187,23 +180,21 @@ const std::vector<Entry>& registry() {
                  }});
     t.push_back({{"heft", {}, "heft",
                   "Heterogeneous Earliest Finish Time (static list "
-                  "schedule)",
-                  false},
+                  "schedule)"},
                  "",
                  {},
                  [](const std::string&) {
                    return std::make_unique<policies::Heft>();
                  }});
     t.push_back({{"peft", {}, "peft",
-                  "Predict Earliest Finish Time (static, OCT table)",
-                  false},
+                  "Predict Earliest Finish Time (static, OCT table)"},
                  "",
                  {},
                  [](const std::string&) {
                    return std::make_unique<policies::Peft>();
                  }});
     t.push_back({{"random", {}, "random[:seed]",
-                  "Uniform random assignment (seeded; default 42)", true},
+                  "Uniform random assignment (seeded; default 42)"},
                  "seed",
                  {},
                  [](const std::string& arg) {

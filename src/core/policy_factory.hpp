@@ -2,12 +2,12 @@
 // and downstream users.
 //
 // Every constructible policy lives in one registry row (policy_registry()):
-// canonical head, accepted aliases, usage string, one-line summary, and the
-// dynamic/static classification. make_policy resolves a spec against that
-// table — there is no separate if-chain to drift out of sync with the
-// `aptsim policies` listing or the --policies parser — and rejects unknown
-// heads with a did-you-mean suggestion (closest registered head by edit
-// distance).
+// canonical head, accepted aliases, usage string, one-line summary, and
+// whether it reads the live fabric backlog. make_policy resolves a spec
+// against that table — there is no separate if-chain to drift out of sync
+// with the `aptsim policies` listing or the --policies parser — and rejects
+// unknown heads with a did-you-mean suggestion (closest registered head by
+// edit distance).
 //
 // Spec grammar (case-insensitive, whitespace-trimmed): "head" or
 // "head:arg", e.g.
@@ -38,7 +38,6 @@ struct PolicyInfo {
   std::vector<std::string> aliases;  ///< alternate heads, e.g. {"aptc"}
   std::string usage;                 ///< display form, e.g. "apt-c[:alpha]"
   std::string summary;               ///< one-line description
-  bool dynamic = true;               ///< Policy::is_dynamic of the product
   /// True when the policy reads the live fabric backlog
   /// (TransferEstimate::link_queueing_ms) — the ablation exporters group
   /// comm-aware vs comm-blind columns by this flag.

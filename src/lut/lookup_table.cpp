@@ -80,27 +80,6 @@ double LookupTable::exec_time_ms(const std::string& kernel,
   return at(kernel, data_size).time(type);
 }
 
-const Entry& LookupTable::nearest(const std::string& kernel,
-                                  std::uint64_t data_size) const {
-  const std::string name = canonical_kernel_name(kernel);
-  const Entry* best = nullptr;
-  double best_dist = 0.0;
-  for (const Entry& e : ordered_) {
-    if (e.kernel != name) continue;
-    // log-space distance keeps "nearest" scale-aware across decades of sizes.
-    const double a = std::log(static_cast<double>(std::max<std::uint64_t>(e.data_size, 1)));
-    const double b = std::log(static_cast<double>(std::max<std::uint64_t>(data_size, 1)));
-    const double dist = std::abs(a - b);
-    if (best == nullptr || dist < best_dist) {
-      best = &e;
-      best_dist = dist;
-    }
-  }
-  if (best == nullptr)
-    throw std::out_of_range("LookupTable::nearest: unknown kernel '" + kernel + "'");
-  return *best;
-}
-
 ProcType LookupTable::best_processor(const std::string& kernel,
                                      std::uint64_t data_size) const {
   const Entry& e = at(kernel, data_size);

@@ -49,11 +49,6 @@ class LookupTable {
   double exec_time_ms(const std::string& kernel, std::uint64_t data_size,
                       ProcType type) const;
 
-  /// Entry for the kernel whose data size is nearest (in log-space when both
-  /// sizes are positive) to `data_size`. Throws std::out_of_range when the
-  /// kernel has no rows at all.
-  const Entry& nearest(const std::string& kernel, std::uint64_t data_size) const;
-
   /// Processor category with minimal execution time for the row
   /// (ties broken toward the lower ProcType index, i.e. CPU < GPU < FPGA).
   ProcType best_processor(const std::string& kernel,

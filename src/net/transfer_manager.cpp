@@ -23,10 +23,6 @@ double ms_since(std::chrono::steady_clock::time_point start) {
 
 std::atomic<TransferManager::SolveMode> g_default_solve_mode{
     TransferManager::SolveMode::Auto};
-
-/// Below this many active flows the closure bookkeeping costs more than the
-/// full solve it would avoid.
-constexpr std::size_t kSmallSolve = 16;
 }  // namespace
 
 void TransferManager::set_default_solve_mode(SolveMode mode) noexcept {
@@ -52,11 +48,8 @@ TransferManager::TransferManager(const Topology& topology)
   closure_stack_.reserve(16);
   link_active_count_.assign(links, 0);
   link_busy_since_.assign(links, 0.0);
-  link_busy_ms_.assign(links, 0.0);
   link_busy_in_window_ms_.assign(links, 0.0);
-  link_delivered_bytes_.assign(links, 0.0);
   link_bytes_in_window_.assign(links, 0.0);
-  link_delivered_counts_.assign(links, 0);
   link_counts_in_window_.assign(links, 0);
   link_hops_in_window_.assign(links, 0);
 }
@@ -163,12 +156,9 @@ void TransferManager::deliver(std::size_t slot, TimeMs at,
       }
     }
     if (--link_active_count_[l] == 0) {
-      link_busy_ms_[l] += at - link_busy_since_[l];
       const TimeMs from = std::max(link_busy_since_[l], window_start_);
       if (at > from) link_busy_in_window_ms_[l] += at - from;
     }
-    link_delivered_bytes_[l] += m.bytes;
-    ++link_delivered_counts_[l];
     if (in_window) {
       link_bytes_in_window_[l] += m.bytes;
       ++link_counts_in_window_[l];
@@ -213,18 +203,11 @@ void TransferManager::mark_dirty(const std::vector<LinkId>& path) {
   dirty_links_.insert(dirty_links_.end(), path.begin(), path.end());
 }
 
-/// Max-min fair allocation by progressive filling: raise every flow's rate
-/// together until a link saturates, freeze that link's flows at the
-/// saturation level, remove their share, repeat. A flow's rate is the
-/// level of its bottleneck link; on a single link this is exactly the
-/// equal split bandwidth / n. Runs at every membership event. This is the
-/// dispatcher: small fabrics and FullAlways mode run the full solve;
-/// otherwise the link<->flow component around the dirty links is closed
-/// and, unless it swallowed most of the active flows (fallback), the
-/// filling is restricted to that component. Iteration order is fixed
-/// either way (ascending link id, then the link's flow list), so the
-/// arithmetic is deterministic — and, per the header's component-
-/// independence argument, bit-identical between the two paths.
+/// Re-solves the rates after a membership event: closes the link<->flow
+/// component around the dirty links (every link, in FullAlways mode) and
+/// re-fills that component alone. Flows outside it keep their rates — per
+/// the header's component-independence argument, exactly the rates a
+/// whole-fabric fill would give them.
 void TransferManager::resolve_rates(TimeMs at) {
   ++solve_round_;
   if (active_flow_count_ == 0) {
@@ -232,27 +215,34 @@ void TransferManager::resolve_rates(TimeMs at) {
     return;
   }
   solve_stats_.flows_active += active_flow_count_;
-  // Timed by hand rather than with ScopedTimer: which bucket a solve
-  // lands in (full vs incremental) is only known at the exit taken, and
-  // the fallback's closure work belongs to the full-solve bucket it pays
-  // for. No clock read when no profile is attached.
+  // Timed by hand rather than with ScopedTimer: which bucket a solve lands
+  // in (full vs incremental) is only known once the component is closed.
+  // No clock read when no profile is attached.
   const auto solve_start = profile_
                                ? std::chrono::steady_clock::now()
                                : std::chrono::steady_clock::time_point{};
-  if (solve_mode_ == SolveMode::FullAlways ||
-      active_flow_count_ < kSmallSolve) {
-    dirty_links_.clear();
-    resolve_rates_full(at);
-    ++solve_stats_.full_solves;
-    solve_stats_.flows_resolved += active_flow_count_;
-    if (profile_)
-      profile_->record(obs::Timer::kTmSolveFull, ms_since(solve_start));
-    return;
-  }
+  const std::size_t flows =
+      close_component(solve_mode_ == SolveMode::FullAlways);
+  fill(flows, at);
+  const bool whole = flows == active_flow_count_;
+  ++(whole ? solve_stats_.full_solves : solve_stats_.incremental_solves);
+  solve_stats_.flows_resolved += flows;
+  // Recorded before the debug cross-check: the verify pass is a test
+  // artifact, not solver cost.
+  if (profile_)
+    profile_->record(
+        whole ? obs::Timer::kTmSolveFull : obs::Timer::kTmSolveIncremental,
+        ms_since(solve_start));
+#ifndef NDEBUG
+  if (!whole) verify_incremental_solve(at);
+#endif
+}
 
-  // Close the component: every link reachable from a dirty link through
-  // shared flows, and every flow on those links. Marks are stamped with
-  // mark_round_ so the arrays never need clearing.
+/// Collects into solve_links_ (ascending) every link reachable from the
+/// seed links through shared flows, and returns the number of flows on
+/// them. The seeds are the dirty links, or every link when `every_link`.
+/// Marks are stamped with mark_round_ so the arrays never need clearing.
+std::size_t TransferManager::close_component(bool every_link) {
   ++mark_round_;
   if (flow_mark_.size() < messages_.size())
     flow_mark_.resize(messages_.size(), 0);
@@ -266,33 +256,34 @@ void TransferManager::resolve_rates(TimeMs at) {
       solve_links_.push_back(l);
     }
   };
-  for (const LinkId l : dirty_links_) push_link(l);
+  if (every_link) {
+    for (LinkId l = 0; l < link_flows_.size(); ++l) push_link(l);
+  } else {
+    for (const LinkId l : dirty_links_) push_link(l);
+  }
   dirty_links_.clear();
-  std::size_t component_flows = 0;
-  bool fallback = false;
-  for (std::size_t i = 0; i < closure_stack_.size() && !fallback; ++i) {
+  std::size_t flows = 0;
+  for (std::size_t i = 0; i < closure_stack_.size(); ++i) {
     for (const std::size_t slot : link_flows_[closure_stack_[i]]) {
       if (flow_mark_[slot] == mark_round_) continue;
       flow_mark_[slot] = mark_round_;
-      ++component_flows;
+      ++flows;
       for (const LinkId hop : messages_[slot].path) push_link(hop);
     }
-    // Once the component holds most of the flows the restricted fill
-    // costs as much as the full one — stop closing and fall back.
-    if (component_flows * 2 > active_flow_count_) fallback = true;
   }
-  if (fallback) {
-    resolve_rates_full(at);
-    ++solve_stats_.full_solves;
-    ++solve_stats_.fallback_solves;
-    solve_stats_.flows_resolved += active_flow_count_;
-    if (profile_)
-      profile_->record(obs::Timer::kTmSolveFull, ms_since(solve_start));
-    return;
-  }
-
   std::sort(solve_links_.begin(), solve_links_.end());
-  std::size_t unfrozen_total = component_flows;
+  return flows;
+}
+
+/// Max-min fair allocation by progressive filling over solve_links_ and
+/// the `flows` flows on them: raise every flow's rate together until a
+/// link saturates, freeze that link's flows at the saturation level,
+/// remove their share, repeat. A flow's rate is the level of its
+/// bottleneck link; on a single link this is exactly the equal split
+/// bandwidth / n. Iteration order is fixed (ascending link id, then the
+/// link's flow list), so the arithmetic is deterministic.
+void TransferManager::fill(std::size_t flows, TimeMs at) {
+  std::size_t unfrozen_total = flows;
   for (const LinkId l : solve_links_) {
     solve_cap_[l] = topology_.bandwidth_gbps(l) * 1e6;
     solve_unfrozen_[l] = link_flows_[l].size();
@@ -304,60 +295,14 @@ void TransferManager::resolve_rates(TimeMs at) {
       level = std::min(
           level, solve_cap_[l] / static_cast<double>(solve_unfrozen_[l]));
     }
-    if (!(level > 0.0)) level = 1e-6;
-    for (const LinkId l : solve_links_) {
-      if (solve_unfrozen_[l] == 0) continue;
-      if (solve_cap_[l] / static_cast<double>(solve_unfrozen_[l]) > level)
-        continue;
-      for (const std::size_t slot : link_flows_[l]) {
-        Message& m = messages_[slot];
-        if (m.solve_round == solve_round_) continue;  // frozen already
-        for (const LinkId hop : m.path) {
-          solve_cap_[hop] -= level;
-          if (solve_cap_[hop] < 0.0) solve_cap_[hop] = 0.0;
-          --solve_unfrozen_[hop];
-        }
-        freeze_flow(slot, level, at);
-        --unfrozen_total;
-      }
-    }
-  }
-  ++solve_stats_.incremental_solves;
-  solve_stats_.flows_resolved += component_flows;
-  // Recorded before the debug cross-check: the verify pass is a test
-  // artifact, not solver cost.
-  if (profile_)
-    profile_->record(obs::Timer::kTmSolveIncremental, ms_since(solve_start));
-#ifndef NDEBUG
-  verify_incremental_solve(at);
-#endif
-}
-
-/// The legacy whole-fabric solve. Untouched arithmetic: every golden value
-/// in the test suite was produced by exactly this loop.
-void TransferManager::resolve_rates_full(TimeMs at) {
-  std::size_t unfrozen_total = active_flow_count_;
-  const std::size_t links = link_flows_.size();
-  for (std::size_t l = 0; l < links; ++l) {
-    if (link_flows_[l].empty()) continue;
-    solve_cap_[l] = topology_.bandwidth_gbps(static_cast<LinkId>(l)) * 1e6;
-    solve_unfrozen_[l] = link_flows_[l].size();
-  }
-  while (unfrozen_total > 0) {
-    double level = kInf;
-    for (std::size_t l = 0; l < links; ++l) {
-      if (link_flows_[l].empty() || solve_unfrozen_[l] == 0) continue;
-      level = std::min(
-          level, solve_cap_[l] / static_cast<double>(solve_unfrozen_[l]));
-    }
     // Exact arithmetic keeps every unfrozen link's level positive; only
     // float drift of the cascading subtractions could break that, and a
     // zero rate would stall the event loop — floor it instead. The freeze
     // pass below matches with <=, so a drift-flattened link (ratio 0 <
     // floored level) still freezes and the loop always terminates.
     if (!(level > 0.0)) level = 1e-6;
-    for (std::size_t l = 0; l < links; ++l) {
-      if (link_flows_[l].empty() || solve_unfrozen_[l] == 0) continue;
+    for (const LinkId l : solve_links_) {
+      if (solve_unfrozen_[l] == 0) continue;
       // The argmin links compare exactly equal; drifted-below ones (see
       // the floor above, or caps nudged by an earlier freeze this round)
       // must freeze too or the round could freeze nothing.
@@ -379,9 +324,10 @@ void TransferManager::resolve_rates_full(TimeMs at) {
 }
 
 #ifndef NDEBUG
-/// Debug-build cross-check: after an incremental solve, a full re-solve at
-/// the same instant must leave every rate untouched (freeze_flow with an
-/// equal rate is a no-op, so a passing check perturbs nothing observable).
+/// Debug-build cross-check: after a component solve, re-filling with every
+/// link seeded at the same instant must leave every rate untouched
+/// (freeze_flow with an equal rate is a no-op, so a passing check perturbs
+/// nothing observable).
 void TransferManager::verify_incremental_solve(TimeMs at) {
   std::vector<std::pair<std::size_t, double>> before;
   before.reserve(active_flow_count_);
@@ -390,7 +336,7 @@ void TransferManager::verify_incremental_solve(TimeMs at) {
       before.emplace_back(slot, messages_[slot].rate_ms);
   }
   ++solve_round_;
-  resolve_rates_full(at);
+  fill(close_component(true), at);
   for (const auto& [slot, rate] : before) {
     APT_ASSERT(messages_[slot].rate_ms == rate,
                "incremental max-min solve diverged from the full solve: "

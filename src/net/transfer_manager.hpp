@@ -23,15 +23,16 @@
 // or leaving the fabric) can only move the saturation level of links
 // reachable from the changed message's route through shared flows. The
 // solver marks those links dirty, closes the link<->flow component around
-// them, and re-runs progressive filling over that component alone — every
-// flow outside it keeps its frozen rate, anchor, and projection. Because
-// max-min components are independent (no flow spans two components) and
-// the filling loop visits links in ascending id and flows in per-link list
-// order either way, the incremental rates are bit-identical to a full
-// re-solve — debug builds assert this after every incremental solve. When
-// the component closure swallows most of the active flows the solver falls
-// back to the plain full solve (same arithmetic, no closure overhead), and
-// SolveStats counts both paths for observability.
+// them, and runs progressive filling over that component's links in
+// ascending id — every flow outside it keeps its frozen rate, anchor, and
+// projection. There is one filling path: seeding the closure with every
+// link (SolveMode::FullAlways) fills the whole fabric with the same
+// function. Because max-min components are independent (no flow spans two
+// components) and the filling visits links in ascending id and flows in
+// per-link list order either way, the component rates are bit-identical to
+// a whole-fabric fill — debug builds assert this after every solve whose
+// component left some flow out. SolveStats counts both kinds of solve for
+// observability.
 //
 // Determinism: message ids/tags are caller-supplied and deliveries at one
 // instant are reported in ascending tag order; the rate solver iterates
@@ -69,26 +70,26 @@ struct Delivery {
 };
 
 /// Rate-solver observability counters: how membership events were actually
-/// re-solved. `full_solves` counts runs of progressive filling over every
-/// active flow (first solves, FullAlways mode, and threshold fallbacks —
-/// the latter also counted in `fallback_solves`); `incremental_solves`
-/// counts component-restricted re-solves; `flows_resolved` sums the flows
-/// re-leveled across all solves and `flows_active` the flows that were live
-/// at those instants, so resolved/active is the touched fraction.
+/// re-solved. `full_solves` counts solves whose component held every active
+/// flow (first solves, FullAlways mode, and events that touched one
+/// fabric-wide component); `incremental_solves` counts the rest;
+/// `flows_resolved` sums the flows re-leveled across all solves and
+/// `flows_active` the flows that were live at those instants, so
+/// resolved/active is the touched fraction.
 struct SolveStats {
   std::uint64_t full_solves = 0;
   std::uint64_t incremental_solves = 0;
-  std::uint64_t fallback_solves = 0;
   std::uint64_t flows_resolved = 0;
   std::uint64_t flows_active = 0;
 };
 
 class TransferManager {
  public:
-  /// Auto runs the incremental component re-solve with a full-solve
-  /// fallback; FullAlways forces the full solve at every membership event.
-  /// Both produce bit-identical rates — FullAlways exists so equivalence
-  /// tests (and suspicious users) can diff the two paths end to end.
+  /// Auto fills the component around the changed links; FullAlways seeds
+  /// the component with every link, so each membership event re-fills the
+  /// whole fabric. Both run the same filling and produce bit-identical
+  /// rates — FullAlways is the reference the equivalence tests diff
+  /// against.
   enum class SolveMode { Auto, FullAlways };
 
   /// Process-wide default mode picked up by every subsequently constructed
@@ -169,30 +170,21 @@ class TransferManager {
   // --- per-link accounting (for metrics) -------------------------------------
   //
   // A multi-hop message counts fully against every link of its route (it
-  // occupies them all while draining). The plain accessors cover the whole
-  // run; the *_in_window variants clip busy time to [window_start, ...) and
-  // count only messages delivered at or after the window start — the
-  // warmup-free numbers steady-state link utilization must be computed
-  // from. Only meaningful once the fabric is idle (!busy()).
+  // occupies them all while draining). Busy time is clipped to
+  // [window_start, ...) and only messages delivered at or after the window
+  // start count — the warmup-free numbers steady-state link utilization
+  // must be computed from; with the default window start of 0 they cover
+  // the whole run. Only meaningful once the fabric is idle (!busy()).
 
   /// Time each link spent with at least one draining message.
-  const std::vector<TimeMs>& link_busy_ms() const noexcept {
-    return link_busy_ms_;
-  }
   const std::vector<TimeMs>& link_busy_in_window_ms() const noexcept {
     return link_busy_in_window_ms_;
   }
   /// Bytes delivered over each link.
-  const std::vector<double>& link_delivered_bytes() const noexcept {
-    return link_delivered_bytes_;
-  }
   const std::vector<double>& link_bytes_in_window() const noexcept {
     return link_bytes_in_window_;
   }
   /// Messages delivered over each link.
-  const std::vector<std::size_t>& link_delivered_counts() const noexcept {
-    return link_delivered_counts_;
-  }
   const std::vector<std::size_t>& link_counts_in_window() const noexcept {
     return link_counts_in_window_;
   }
@@ -239,8 +231,8 @@ class TransferManager {
   void deliver(std::size_t slot, TimeMs at, std::vector<Delivery>& out);
   void mark_dirty(const std::vector<LinkId>& path);
   void resolve_rates(TimeMs at);
-  void resolve_rates_full(TimeMs at);
-  void resolve_rates_incremental(TimeMs at);
+  std::size_t close_component(bool every_link);
+  void fill(std::size_t flows, TimeMs at);
   void freeze_flow(std::size_t slot, double rate, TimeMs at);
 #ifndef NDEBUG
   void verify_incremental_solve(TimeMs at);
@@ -264,8 +256,8 @@ class TransferManager {
   // Incremental-solver state. dirty_links_ collects the links whose
   // membership changed since the last solve; the mark arrays (stamped by
   // mark_round_ so they never need clearing) track which links/flows the
-  // component closure has absorbed; solve_links_ is the sorted dirty
-  // component the restricted filling runs over.
+  // component closure has absorbed; solve_links_ is the sorted component
+  // the filling runs over.
   SolveMode solve_mode_;
   std::vector<LinkId> dirty_links_;
   std::vector<std::uint64_t> link_mark_;   ///< [link] closure stamp
@@ -279,11 +271,8 @@ class TransferManager {
   // Busy intervals fold as link occupancy transitions 0 <-> >0.
   std::vector<std::size_t> link_active_count_;
   std::vector<TimeMs> link_busy_since_;
-  std::vector<TimeMs> link_busy_ms_;
   std::vector<TimeMs> link_busy_in_window_ms_;
-  std::vector<double> link_delivered_bytes_;
   std::vector<double> link_bytes_in_window_;
-  std::vector<std::size_t> link_delivered_counts_;
   std::vector<std::size_t> link_counts_in_window_;
   std::vector<std::size_t> link_hops_in_window_;
 

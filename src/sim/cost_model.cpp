@@ -29,27 +29,18 @@ TimeMs CostModel::average_exec_time_ms(const dag::Dag& dag, dag::NodeId node,
   return sum / static_cast<double>(procs.size());
 }
 
-LutCostModel::LutCostModel(lut::LookupTable table, const System& system,
-                           bool strict)
+LutCostModel::LutCostModel(lut::LookupTable table, const System& system)
     : table_(std::move(table)),
       interconnect_(system.interconnect()),
-      bytes_per_element_(system.config().bytes_per_element),
-      strict_(strict) {
+      bytes_per_element_(system.config().bytes_per_element) {
   if (table_.empty())
     throw std::invalid_argument("LutCostModel: empty lookup table");
 }
 
-const lut::Entry& LutCostModel::entry_for(const dag::Dag& dag,
-                                          dag::NodeId node) const {
-  const dag::Node& n = dag.node(node);
-  if (strict_ || table_.contains(n.kernel, n.data_size))
-    return table_.at(n.kernel, n.data_size);
-  return table_.nearest(n.kernel, n.data_size);
-}
-
 TimeMs LutCostModel::exec_time_ms(const dag::Dag& dag, dag::NodeId node,
                                   const Processor& proc) const {
-  return entry_for(dag, node).time(proc.type);
+  const dag::Node& n = dag.node(node);
+  return table_.at(n.kernel, n.data_size).time(proc.type);
 }
 
 TimeMs LutCostModel::transfer_time_ms(const dag::Dag& dag, dag::NodeId src,

@@ -61,11 +61,9 @@ class CostModel {
 /// is independent of the objects it was built from.
 class LutCostModel final : public CostModel {
  public:
-  /// `strict` controls behaviour for (kernel, size) pairs missing from the
-  /// table: throw (true, default) or fall back to the nearest measured size
-  /// (false) — useful when replaying traces with odd sizes.
-  LutCostModel(lut::LookupTable table, const System& system,
-               bool strict = true);
+  /// (kernel, size) pairs missing from the table throw std::out_of_range
+  /// on lookup.
+  LutCostModel(lut::LookupTable table, const System& system);
 
   TimeMs exec_time_ms(const dag::Dag& dag, dag::NodeId node,
                       const Processor& proc) const override;
@@ -76,12 +74,9 @@ class LutCostModel final : public CostModel {
   const lut::LookupTable& table() const noexcept { return table_; }
 
  private:
-  const lut::Entry& entry_for(const dag::Dag& dag, dag::NodeId node) const;
-
   lut::LookupTable table_;
   Interconnect interconnect_;
   double bytes_per_element_;
-  bool strict_;
 };
 
 /// Topology-aware adapter: execution times from a base model, transfer

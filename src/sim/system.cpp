@@ -5,28 +5,21 @@
 namespace apt::sim {
 
 Interconnect::Interconnect(std::size_t proc_count, double uniform_gbps)
-    : proc_count_(proc_count) {
+    : proc_count_(proc_count), rate_gbps_(uniform_gbps) {
   if (proc_count_ == 0)
     throw std::invalid_argument("Interconnect: need at least one processor");
   if (!(uniform_gbps > 0.0))
     throw std::invalid_argument("Interconnect: rate must be positive");
-  rate_.assign(proc_count_ * proc_count_, uniform_gbps);
 }
 
-std::size_t Interconnect::index(ProcId from, ProcId to) const {
+void Interconnect::check_ids(ProcId from, ProcId to) const {
   if (from >= proc_count_ || to >= proc_count_)
     throw std::out_of_range("Interconnect: processor id out of range");
-  return static_cast<std::size_t>(from) * proc_count_ + to;
-}
-
-void Interconnect::set_rate_gbps(ProcId from, ProcId to, double gbps) {
-  if (!(gbps > 0.0))
-    throw std::invalid_argument("Interconnect: rate must be positive");
-  rate_[index(from, to)] = gbps;
 }
 
 double Interconnect::rate_gbps(ProcId from, ProcId to) const {
-  return rate_[index(from, to)];
+  check_ids(from, to);
+  return rate_gbps_;
 }
 
 TimeMs Interconnect::transfer_time_ms(double bytes, ProcId from,
@@ -34,7 +27,7 @@ TimeMs Interconnect::transfer_time_ms(double bytes, ProcId from,
   if (bytes < 0.0)
     throw std::invalid_argument("Interconnect: negative byte count");
   if (from == to) {
-    index(from, to);  // still validate ids
+    check_ids(from, to);
     return 0.0;
   }
   // GB/s == bytes/ns; ms = bytes / (rate_GBps * 1e6).

@@ -29,8 +29,7 @@ struct Processor {
 /// Point-to-point link throughput between processor instances.
 ///
 /// The thesis uses a uniform PCIe rate between all processors (4 GB/s for
-/// x8, 8 GB/s for x16); per-pair overrides allow modelling asymmetric
-/// fabrics. Same-processor transfers are free.
+/// x8, 8 GB/s for x16). Same-processor transfers are free.
 class Interconnect {
  public:
   /// Uniform fabric at `uniform_gbps` gigabytes per second (> 0).
@@ -38,9 +37,8 @@ class Interconnect {
 
   std::size_t proc_count() const noexcept { return proc_count_; }
 
-  /// Overrides the rate of the directed link from -> to.
-  void set_rate_gbps(ProcId from, ProcId to, double gbps);
-
+  /// Rate of the directed link from -> to: the uniform rate. Throws
+  /// std::out_of_range for an id outside the processor set.
   double rate_gbps(ProcId from, ProcId to) const;
 
   /// Milliseconds to move `bytes` from one processor to another; 0 when
@@ -48,10 +46,10 @@ class Interconnect {
   TimeMs transfer_time_ms(double bytes, ProcId from, ProcId to) const;
 
  private:
-  std::size_t index(ProcId from, ProcId to) const;
+  void check_ids(ProcId from, ProcId to) const;
 
   std::size_t proc_count_;
-  std::vector<double> rate_;  // row-major [from][to], GB/s
+  double rate_gbps_;
 };
 
 /// Everything needed to instantiate a System.
@@ -96,7 +94,6 @@ class System {
   std::size_t proc_count() const noexcept { return procs_.size(); }
   const Processor& processor(ProcId id) const { return procs_.at(id); }
 
-  Interconnect& interconnect() noexcept { return interconnect_; }
   const Interconnect& interconnect() const noexcept { return interconnect_; }
 
   /// The instantiated interconnect topology (config().topology resolved

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -424,6 +425,28 @@ TEST(Cli, PoliciesListsSpecs) {
   std::filesystem::remove(out);
 }
 
+TEST(Cli, PoliciesLabelsMatchIsDynamic) {
+  // The dynamic/static column is the constructed policy's is_dynamic():
+  // APT-ranked serves the ready set from a precomputed rank order and the
+  // stream engine rejects it, like HEFT and PEFT.
+  const std::string out = ::testing::TempDir() + "/aptsim_policy_kinds.txt";
+  ASSERT_EQ(run_cli("policies", out), 0);
+  std::istringstream lines(slurp(out));
+  std::map<std::string, std::string> kind;  // usage -> dynamic/static
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream fields(line);
+    std::string usage;
+    std::string label;
+    if (fields >> usage >> label) kind[usage] = label;
+  }
+  EXPECT_EQ(kind["apt-ranked[:alpha]"], "static");
+  EXPECT_EQ(kind["heft"], "static");
+  EXPECT_EQ(kind["peft"], "static");
+  EXPECT_EQ(kind["apt[:alpha]"], "dynamic");
+  EXPECT_EQ(kind["ag[:recent]"], "dynamic");
+  std::filesystem::remove(out);
+}
+
 TEST(Cli, PoliciesTypoGetsDidYouMean) {
   // run_cli silences stderr, where the error lands — capture it directly.
   const std::string out = ::testing::TempDir() + "/aptsim_typo.txt";
@@ -440,7 +463,7 @@ TEST(Cli, PoliciesTypoGetsDidYouMean) {
 TEST(Cli, VersionPrintsBuildInfo) {
   // Both spellings, and the line must carry the git describe (never empty
   // or the literal "unknown" in a CMake build) plus the build type.
-  for (const std::string& spelling : {"--version", "version"}) {
+  for (const char* spelling : {"--version", "version"}) {
     const std::string out = ::testing::TempDir() + "/aptsim_version.txt";
     ASSERT_EQ(run_cli(spelling, out), 0) << spelling;
     const std::string text = slurp(out);

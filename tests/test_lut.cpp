@@ -100,15 +100,6 @@ TEST(LookupTable, HeterogeneityRatio) {
   EXPECT_DOUBLE_EQ(t.heterogeneity("k", 1), 5.0);
 }
 
-TEST(LookupTable, NearestPicksLogClosestSize) {
-  LookupTable t;
-  t.add(make_entry("k", 1000, 1.0, 1.0, 1.0));
-  t.add(make_entry("k", 1000000, 2.0, 2.0, 2.0));
-  EXPECT_EQ(t.nearest("k", 2000).data_size, 1000u);
-  EXPECT_EQ(t.nearest("k", 900000).data_size, 1000000u);
-  EXPECT_THROW(t.nearest("other", 10), std::out_of_range);
-}
-
 TEST(LookupTable, KernelsAndSizesEnumeration) {
   LookupTable t;
   t.add(make_entry("b", 2, 1, 1, 1));

@@ -49,8 +49,8 @@ TEST(TransferManager, TwoEqualMessagesFinishAtTwiceTheTime) {
   ASSERT_EQ(deliveries.size(), 2u);
   EXPECT_EQ(deliveries[0].tag, 0u);  // ascending tag order
   EXPECT_EQ(deliveries[1].tag, 1u);
-  EXPECT_DOUBLE_EQ(tm.link_busy_ms()[0], 4.0);
-  EXPECT_DOUBLE_EQ(tm.link_delivered_bytes()[0], 16e6);
+  EXPECT_DOUBLE_EQ(tm.link_busy_in_window_ms()[0], 4.0);
+  EXPECT_DOUBLE_EQ(tm.link_bytes_in_window()[0], 16e6);
 }
 
 TEST(TransferManager, StaggeredArrivalSlowsTheFirstMessage) {
@@ -70,7 +70,7 @@ TEST(TransferManager, StaggeredArrivalSlowsTheFirstMessage) {
   const auto deliveries = tm.advance_to(3.0);
   ASSERT_EQ(deliveries.size(), 2u);
   EXPECT_DOUBLE_EQ(deliveries[0].delivered_ms, 3.0);
-  EXPECT_DOUBLE_EQ(tm.link_busy_ms()[0], 3.0);
+  EXPECT_DOUBLE_EQ(tm.link_busy_in_window_ms()[0], 3.0);
 }
 
 TEST(TransferManager, LatencyDelaysTheDrainNotTheLink) {
@@ -83,7 +83,8 @@ TEST(TransferManager, LatencyDelaysTheDrainNotTheLink) {
   const auto deliveries = tm.advance_to(1.5);
   ASSERT_EQ(deliveries.size(), 1u);
   EXPECT_DOUBLE_EQ(deliveries[0].delivered_ms, 1.5);
-  EXPECT_DOUBLE_EQ(tm.link_busy_ms()[0], 1.0);  // only the drain occupies
+  // Only the drain occupies the link.
+  EXPECT_DOUBLE_EQ(tm.link_busy_in_window_ms()[0], 1.0);
 }
 
 TEST(TransferManager, ZeroByteMessageDeliversAtActivation) {
@@ -155,8 +156,8 @@ TEST(TransferManager, WaterFillingAcrossATwoLinkPath) {
   EXPECT_EQ(deliveries[0].hops, 2u);
   EXPECT_DOUBLE_EQ(deliveries[0].delivered_ms, 3.0);
   // Both links were busy the whole 3 ms and carried A's bytes in full.
-  EXPECT_DOUBLE_EQ(tm.link_busy_ms()[0], 3.0);
-  EXPECT_DOUBLE_EQ(tm.link_delivered_bytes()[0], 12e6);  // A + B
+  EXPECT_DOUBLE_EQ(tm.link_busy_in_window_ms()[0], 3.0);
+  EXPECT_DOUBLE_EQ(tm.link_bytes_in_window()[0], 12e6);  // A + B
 }
 
 // Progressive filling hands bottleneck slack to the flows that can use it:
@@ -184,11 +185,11 @@ TEST(TransferManager, BottleneckSlackReallocatesMaxMin) {
   EXPECT_DOUBLE_EQ(deliveries[0].delivered_ms, 4.0);
   // Capacity invariant, exactly at the boundary: each link moved
   // 16e6 bytes in 4 busy ms at 4e6 bytes/ms.
-  EXPECT_DOUBLE_EQ(tm.link_busy_ms()[0], 4.0);
-  EXPECT_DOUBLE_EQ(tm.link_delivered_bytes()[0], 16e6);
+  EXPECT_DOUBLE_EQ(tm.link_busy_in_window_ms()[0], 4.0);
+  EXPECT_DOUBLE_EQ(tm.link_bytes_in_window()[0], 16e6);
   const LinkId second = topo.route(1, 2)[0];
-  EXPECT_DOUBLE_EQ(tm.link_busy_ms()[second], 4.0);
-  EXPECT_DOUBLE_EQ(tm.link_delivered_bytes()[second], 16e6);
+  EXPECT_DOUBLE_EQ(tm.link_busy_in_window_ms()[second], 4.0);
+  EXPECT_DOUBLE_EQ(tm.link_bytes_in_window()[second], 16e6);
 }
 
 TEST(TransferManager, MultiHopLatencyAccruesPerHop) {
@@ -201,7 +202,8 @@ TEST(TransferManager, MultiHopLatencyAccruesPerHop) {
   const auto deliveries = tm.advance_to(2.0);
   ASSERT_EQ(deliveries.size(), 1u);
   EXPECT_DOUBLE_EQ(deliveries[0].delivered_ms, 2.0);
-  EXPECT_DOUBLE_EQ(tm.link_busy_ms()[0], 1.0);  // only the drain occupies
+  // Only the drain occupies the link.
+  EXPECT_DOUBLE_EQ(tm.link_busy_in_window_ms()[0], 1.0);
 }
 
 // --- done_eps completion-tolerance contract ----------------------------------
@@ -348,11 +350,8 @@ TEST(TransferManager, WindowClipsBusyAndBytes) {
   tm.start(0, 8e6, 0, 1, 0.0);   // drains [0, 2] — fully warmup
   tm.start(1, 8e6, 0, 1, 2.5);   // drains [2.5, 4.5] — straddles
   tm.advance_to(10.0);
-  EXPECT_DOUBLE_EQ(tm.link_busy_ms()[0], 4.0);            // whole run
   EXPECT_DOUBLE_EQ(tm.link_busy_in_window_ms()[0], 1.5);  // [3, 4.5]
-  EXPECT_DOUBLE_EQ(tm.link_delivered_bytes()[0], 16e6);
   EXPECT_DOUBLE_EQ(tm.link_bytes_in_window()[0], 8e6);
-  EXPECT_EQ(tm.link_delivered_counts()[0], 2u);
   EXPECT_EQ(tm.link_counts_in_window()[0], 1u);
   EXPECT_EQ(tm.link_hops_in_window()[0], 1u);
   // The window is part of the run's setup, not something to move later.

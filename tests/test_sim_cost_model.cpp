@@ -37,14 +37,6 @@ TEST(LutCostModel, StrictModeThrowsOnUnknownSize) {
   EXPECT_THROW(cost.exec_time_ms(d, 0, sys.processor(0)), std::out_of_range);
 }
 
-TEST(LutCostModel, LenientModeFallsBackToNearestSize) {
-  const System sys = test::paper_system();
-  const LutCostModel cost(lut::paper_lookup_table(), sys, /*strict=*/false);
-  dag::Dag d;
-  d.add_node("mm", 260000);  // nearest measured: 250000
-  EXPECT_DOUBLE_EQ(cost.exec_time_ms(d, 0, sys.processor(0)), 29.631);
-}
-
 TEST(LutCostModel, TransferUsesProducerSizeAndLinkRate) {
   const System sys = test::paper_system(4.0);
   const LutCostModel cost(lut::paper_lookup_table(), sys);

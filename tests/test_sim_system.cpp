@@ -25,19 +25,10 @@ TEST(Interconnect, TransferTimeMatchesRate) {
   EXPECT_DOUBLE_EQ(fast.transfer_time_ms(8e6, 0, 1), 1.0);
 }
 
-TEST(Interconnect, PerPairOverride) {
-  Interconnect net(3, 4.0);
-  net.set_rate_gbps(0, 2, 16.0);
-  EXPECT_DOUBLE_EQ(net.rate_gbps(0, 2), 16.0);
-  EXPECT_DOUBLE_EQ(net.rate_gbps(2, 0), 4.0);  // directed
-  EXPECT_DOUBLE_EQ(net.transfer_time_ms(16e6, 0, 2), 1.0);
-}
-
 TEST(Interconnect, Validation) {
   EXPECT_THROW(Interconnect(0, 4.0), std::invalid_argument);
   EXPECT_THROW(Interconnect(2, 0.0), std::invalid_argument);
   Interconnect net(2, 4.0);
-  EXPECT_THROW(net.set_rate_gbps(0, 1, -1.0), std::invalid_argument);
   EXPECT_THROW(net.rate_gbps(0, 7), std::out_of_range);
   EXPECT_THROW(net.transfer_time_ms(-5.0, 0, 1), std::invalid_argument);
 }

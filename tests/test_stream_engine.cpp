@@ -113,8 +113,12 @@ TEST(Arrivals, DeterministicClockIsExactOverLongHorizons) {
     const auto t = process.next();
     ASSERT_TRUE(t.has_value());
     if (k == kArrivals || k == 1 || k == 999) last = *t;
-    if (k == 1) EXPECT_EQ(*t, 1.0 / rate);
-    if (k == 999) EXPECT_EQ(*t, 999.0 / rate);
+    if (k == 1) {
+      EXPECT_EQ(*t, 1.0 / rate);
+    }
+    if (k == 999) {
+      EXPECT_EQ(*t, 999.0 / rate);
+    }
   }
   EXPECT_EQ(last, static_cast<double>(kArrivals) / rate);  // bitwise
 }

@@ -1,11 +1,15 @@
 // Equivalence tests for the incremental max-min re-solve in
-// net::TransferManager — the streaming hot-path optimisation must be
-// invisible in every simulated quantity:
+// net::TransferManager — filling only the link<->flow component around a
+// membership event must be invisible in every simulated quantity:
 //
-//  * randomized routed scenarios (ring/mesh/fattree x 120 seeds) drive two
-//    managers in lockstep — one pinned to SolveMode::FullAlways, one on the
-//    default incremental path — and every event time, delivery timeline,
-//    and per-link total must match BITWISE;
+//  * randomized routed scenarios (ring/mesh/fattree, small 2x2 and ring:4
+//    fabrics with 4-12 messages and larger ones with 20-60, 200 seeds)
+//    drive two managers in lockstep — one pinned to SolveMode::FullAlways
+//    (the closure seeded with every link), one on the default component
+//    path — and every event time, delivery timeline, and per-link total
+//    must match BITWISE;
+//  * a message on a route disjoint from every other flow re-levels itself
+//    alone, however small the fabric;
 //  * the stream engine under contention produces identical TransferRecord
 //    timelines and StreamMetrics either way, at 10x the densest sustained
 //    bench rate;
@@ -73,13 +77,21 @@ void drain_lockstep(net::TransferManager& full, net::TransferManager& inc,
 
 TEST(TmIncremental, RandomizedRoutedScenariosMatchFullSolveBitwise) {
   const SolveModeGuard guard;
+  // Message counts are min_messages + [0, extra_messages]. The small
+  // fabrics keep few flows live at once; the larger ones many.
   struct Shape {
     const char* spec;
     net::ProcId procs;
+    std::size_t min_messages;
+    std::size_t extra_messages;
   };
-  const std::vector<Shape> shapes = {
-      {"ring:6", 6}, {"mesh:3x3", 9}, {"fattree:2", 8}};
+  const std::vector<Shape> shapes = {{"mesh:2x2", 4, 4, 8},
+                                     {"ring:4", 4, 4, 8},
+                                     {"ring:6", 6, 20, 40},
+                                     {"mesh:3x3", 9, 20, 40},
+                                     {"fattree:2", 8, 20, 40}};
   std::uint64_t incremental_total = 0;
+  std::uint64_t small_incremental_total = 0;
   for (const Shape& shape : shapes) {
     const net::Topology topo = routed_topology(shape.spec, shape.procs);
     for (std::uint64_t seed = 1; seed <= 40; ++seed) {
@@ -91,9 +103,9 @@ TEST(TmIncremental, RandomizedRoutedScenariosMatchFullSolveBitwise) {
           net::TransferManager::SolveMode::Auto);
       net::TransferManager inc(topo);
 
-      // 20-60 messages with clustered starts: enough simultaneous flows to
-      // cross the small-solve floor and exercise the restricted filling.
-      const std::size_t count = 20 + rng.uniform_u64(41);
+      // Clustered starts, so several flows share the fabric at once.
+      const std::size_t count =
+          shape.min_messages + rng.uniform_u64(shape.extra_messages + 1);
       net::TimeMs at = 0.0;
       for (std::size_t m = 0; m < count; ++m) {
         at += rng.uniform_real(0.01, 1.5);
@@ -116,27 +128,35 @@ TEST(TmIncremental, RandomizedRoutedScenariosMatchFullSolveBitwise) {
       }
       EXPECT_FALSE(full.busy());
       // Cumulative per-link accounting must agree bitwise too.
-      const auto& busy_f = full.link_busy_ms();
-      const auto& busy_i = inc.link_busy_ms();
+      const auto& busy_f = full.link_busy_in_window_ms();
+      const auto& busy_i = inc.link_busy_in_window_ms();
       ASSERT_EQ(busy_f.size(), busy_i.size());
       for (std::size_t l = 0; l < busy_f.size(); ++l)
         EXPECT_EQ(busy_f[l], busy_i[l]);
-      const auto& bytes_f = full.link_delivered_bytes();
-      const auto& bytes_i = inc.link_delivered_bytes();
+      const auto& bytes_f = full.link_bytes_in_window();
+      const auto& bytes_i = inc.link_bytes_in_window();
       for (std::size_t l = 0; l < bytes_f.size(); ++l)
         EXPECT_EQ(bytes_f[l], bytes_i[l]);
 
-      // full_solves already includes the fallbacks, so full + incremental
-      // partitions the membership events.
-      EXPECT_EQ(inc.solve_stats().incremental_solves +
-                    inc.solve_stats().full_solves,
-                full.solve_stats().full_solves);
-      EXPECT_LE(inc.solve_stats().fallback_solves,
-                inc.solve_stats().full_solves);
-      EXPECT_EQ(full.solve_stats().incremental_solves, 0u);
-      incremental_total += inc.solve_stats().incremental_solves;
+      // Both managers solve at the same membership events with the same
+      // flows live. FullAlways re-levels every active flow each time, so
+      // all its solves are full; the component path splits the same
+      // events into full and incremental solves and re-levels at most as
+      // many flows.
+      const net::SolveStats& sf = full.solve_stats();
+      const net::SolveStats& si = inc.solve_stats();
+      EXPECT_EQ(si.incremental_solves + si.full_solves, sf.full_solves);
+      EXPECT_EQ(sf.incremental_solves, 0u);
+      EXPECT_EQ(si.flows_active, sf.flows_active);
+      EXPECT_EQ(sf.flows_resolved, sf.flows_active);
+      EXPECT_LE(si.flows_resolved, si.flows_active);
+      incremental_total += si.incremental_solves;
+      small_incremental_total += shape.procs == 4 ? si.incremental_solves : 0;
     }
   }
+  // The small fabrics must run the component path too, not only fill the
+  // whole fabric.
+  EXPECT_GT(small_incremental_total, 0u);
   // The suite must actually exercise the incremental path, not fall back
   // to full solves throughout.
   EXPECT_GT(incremental_total, 0u);
@@ -159,13 +179,56 @@ TEST(TmIncremental, SolveStatsCountersStayConsistent) {
   while (tm.busy()) tm.advance_to(tm.next_event_ms());
   const net::SolveStats& st = tm.solve_stats();
   EXPECT_GT(st.incremental_solves, 0u);
-  EXPECT_GT(st.full_solves + st.fallback_solves, 0u);
+  EXPECT_GT(st.full_solves, 0u);
   // Restricted fills resolve a subset of the active flows; full solves
   // resolve all of them — so the resolved count is bounded by the active
   // count and both grow monotonically past zero.
   EXPECT_GT(st.flows_active, 0u);
   EXPECT_GT(st.flows_resolved, 0u);
   EXPECT_LE(st.flows_resolved, st.flows_active);
+}
+
+// Two messages on disjoint single-hop mesh:2x2 routes (row-major
+// placement: 0 -> 1 in the top row, 2 -> 3 in the bottom one) form two
+// components. Activating the second re-levels that message alone and
+// leaves the first's rate, anchor and projection untouched; FullAlways
+// re-levels both.
+TEST(TmIncremental, DisjointRouteJoinsReLevelOnlyItself) {
+  const SolveModeGuard guard;
+  const net::Topology topo = routed_topology("mesh:2x2", 4);
+  const net::Topology::Route a = topo.route(0, 1);
+  const net::Topology::Route b = topo.route(2, 3);
+  for (const net::LinkId l : a)
+    for (const net::LinkId m : b) ASSERT_NE(l, m);
+
+  for (const auto mode : {net::TransferManager::SolveMode::Auto,
+                          net::TransferManager::SolveMode::FullAlways}) {
+    net::TransferManager::set_default_solve_mode(mode);
+    net::TransferManager tm(topo);
+    tm.start(0, 4e6, 0, 1, 0.0);
+    tm.advance_to(1.0);  // the first message is draining alone
+    const net::SolveStats before = tm.solve_stats();
+    EXPECT_EQ(before.full_solves, 1u);
+    EXPECT_EQ(before.flows_resolved, 1u);
+
+    tm.start(1, 4e6, 2, 3, 1.0);
+    tm.advance_to(1.5);  // activation at 1.0 + the 0.05 ms route latency
+    const net::SolveStats& after = tm.solve_stats();
+    EXPECT_EQ(after.flows_active - before.flows_active, 2u);
+    if (mode == net::TransferManager::SolveMode::Auto) {
+      EXPECT_EQ(after.flows_resolved - before.flows_resolved, 1u);
+      EXPECT_EQ(after.incremental_solves, 1u);
+      EXPECT_EQ(after.full_solves, 1u);
+    } else {
+      EXPECT_EQ(after.flows_resolved - before.flows_resolved, 2u);
+      EXPECT_EQ(after.incremental_solves, 0u);
+      EXPECT_EQ(after.full_solves, 2u);
+    }
+    // Neither message slowed the other: each drains at the full 1e6
+    // bytes/ms after its 0.05 ms head latency.
+    EXPECT_DOUBLE_EQ(tm.next_event_ms(), 0.05 + 4.0);
+    EXPECT_DOUBLE_EQ(tm.link_drain_ms(b[0]), 1.05 + 4.0 - 1.5);
+  }
 }
 
 TEST(TmIncremental, AdvanceToOutBufferMatchesReturningOverload) {
